@@ -3,22 +3,28 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/executor.h"
 
 namespace clockmark::cpa {
 
 RotationAccumulator::RotationAccumulator(std::vector<double> pattern)
-    : pattern_(std::move(pattern)) {
-  if (pattern_.empty()) {
-    throw std::invalid_argument("RotationAccumulator: empty pattern");
+    : RotationAccumulator(
+          std::make_shared<const SpectrumEngine>(std::move(pattern))) {}
+
+RotationAccumulator::RotationAccumulator(
+    std::shared_ptr<const SpectrumEngine> engine)
+    : engine_(std::move(engine)) {
+  if (engine_ == nullptr) {
+    throw std::invalid_argument("RotationAccumulator: null SpectrumEngine");
   }
-  fold_.sums.assign(pattern_.size(), 0.0);
-  fold_.counts.assign(pattern_.size(), 0);
+  fold_.sums.assign(pattern().size(), 0.0);
+  fold_.counts.assign(pattern().size(), 0);
 }
 
 void RotationAccumulator::add(std::span<const double> y) {
-  dsp::fold_extend(fold_, y, pattern_.size());
+  dsp::fold_extend(fold_, y, pattern().size());
 }
 
 std::vector<double> RotationAccumulator::correlations(
@@ -34,7 +40,7 @@ std::vector<double> RotationAccumulator::correlations(
         // from-fold sweep, one block of kRotationBlockLanes rotations
         // per work item writing its own slots, then the shared assemble
         // stage — bit-identical at any thread count.
-        const std::size_t period = pattern_.size();
+        const std::size_t period = pattern().size();
         if (fold_.n < period) {
           throw std::invalid_argument(
               "rotation_correlation: trace shorter than one pattern period");
@@ -50,7 +56,7 @@ std::vector<double> RotationAccumulator::correlations(
               std::min(kRotationBlockLanes, period - r0);
           std::array<dsp::RotationModelSums, kRotationBlockLanes> block;
           dsp::rotation_model_sums_blocked(
-              fold_, pattern_, r0,
+              fold_, pattern(), r0,
               std::span<dsp::RotationModelSums>(block.data(), count));
           for (std::size_t l = 0; l < count; ++l) {
             sxy[r0 + l] = block[l].sxy;
@@ -60,10 +66,13 @@ std::vector<double> RotationAccumulator::correlations(
         });
         return dsp::assemble_rotation_correlations(fold_, sxy, sx, sxx);
       }
-      return dsp::rotation_correlation_folded_from_fold(fold_, pattern_);
+      return dsp::rotation_correlation_folded_from_fold(fold_, pattern());
     }
-    case CorrelationMethod::kFft:
-      return dsp::rotation_correlation_fft_from_fold(fold_, pattern_);
+    case CorrelationMethod::kFft: {
+      std::vector<double> rho(pattern().size());
+      engine_->rotations(fold_, rho);
+      return rho;
+    }
   }
   throw std::invalid_argument("RotationAccumulator: bad method");
 }

@@ -1,42 +1,39 @@
-// Repetition-batched CPA sweep engine: everything compute_spread_spectrum
-// recomputes per repetition, computed once per study instead.
+// The one FFT rotation-sweep engine. A sweep correlates a phase fold
+// against all P pattern rotations through three circular correlations:
+// sxy (fold sums), sx and sxx (fold counts). The engine computes the
+// pattern's forward FFT once, tables sx/sxx per trace length (a phase-0
+// fold's counts are n/P + (p < n mod P), a function of n alone), and
+// reuses sx as sxx when the pattern is bitwise its own square (every
+// 0/1 model pattern). A sweep then costs 2 transforms on a table hit
+// and 4 on a miss, against 9 uncached. Studies call sweep(), the blind
+// search sweeps warped candidates (sync::CandidateEngine) and the
+// streaming detector hands its fold to rotations().
 //
-// A repeatability study sweeps R traces against the *same* watermark
-// pattern, and most of the FFT-path sweep does not depend on the trace:
-//   * the FFT plan registry lookup (mutex + hash per transform),
-//   * the forward FFT of the pattern (the fb side of the sxy circular
-//     correlation),
-//   * the sx / sxx circular correlations, which depend only on the
-//     trace *length* — the fold's counts are n/P + (p < n mod P),
-// plus a fresh allocation for the fold, the sxy vector and the rho
-// sweep on every call. SpectrumEngine hoists all of it — the same
-// recipe sync::CandidateEngine applies to blind-sync scoring, here
-// returning the full SpreadSpectrum (rho vector included) the
-// detection path consumes. Per repetition this leaves one forward +
-// one inverse FFT instead of seven transforms.
+// Bit-exactness: rotations(fold, rho) writes exactly
+// dsp::rotation_correlation_fft_from_fold(fold, pattern()) and sweep()
+// returns exactly compute_spread_spectrum(y, pattern(), kFft, guard),
+// validation errors included — the cached tables come from the same
+// planned-transform arithmetic, and periods beyond dsp::kMaxPlannedFftSize
+// take the planless from-fold path.
 //
-// Bit-exactness contract (tests/test_sim_batch.cpp): sweep(y, guard)
-// returns exactly compute_spread_spectrum(y, pattern(), kFft, guard) —
-// same rho bits, same summary statistics, same validation errors. The
-// cached pattern FFT and per-length sx/sxx come from the identical
-// planned-transform arithmetic circular_cross_correlation runs inline;
-// patterns beyond the plan registry's cap fall back to the planless
-// rotation_correlation_fft_from_fold, again bit-identical.
-//
-// Thread-safety: sweep() is const and race-free — the per-length cache
-// sits behind a mutex (values are immutable once built; a duplicate
-// build under contention produces identical bits), scratch lives in
-// thread_local arenas, and the FFT plan is immutable.
+// The length table holds at most kMaxCachedLengths lengths, evicting
+// the least recently used, and admits a length only on its second
+// request, so a stream's ever-growing fold never occupies it. All
+// members are const and thread-safe: the table is mutex-guarded and
+// hands out shared_ptrs (eviction never frees an entry a sweep reads),
+// scratch is thread_local, the FFT plan immutable.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cpa/spread_spectrum.h"
+#include "dsp/correlate.h"
 #include "dsp/fft.h"
 
 namespace clockmark::dsp {
@@ -47,38 +44,63 @@ namespace clockmark::cpa {
 
 class SpectrumEngine {
  public:
-  /// Binds the watermark pattern (one period of the 0/1 model vector)
-  /// and precomputes its transform tables. Throws on an empty pattern.
+  /// Cap on the per-length sx/sxx table (32 entries of P doubles each,
+  /// 1 MiB at P = 4095 for a 0/1 pattern). One blind search touches
+  /// about ten warped lengths.
+  static constexpr std::size_t kMaxCachedLengths = 32;
+
+  /// Binds the watermark pattern (one period of the model vector) and
+  /// precomputes its transform. Throws on an empty pattern.
   explicit SpectrumEngine(std::vector<double> pattern);
 
   const std::vector<double>& pattern() const noexcept { return pattern_; }
 
-  /// One repetition's sweep + summary, bit-identical to
-  /// compute_spread_spectrum(y, pattern(), CorrelationMethod::kFft,
-  /// guard) including its input validation.
+  /// rho for every rotation of the pattern against `fold`, written to
+  /// `rho` (size P). `fold` must come from dsp::fold_by_phase or
+  /// dsp::fold_extend started on an empty fold; throws like
+  /// rotation_correlation_fft_from_fold on a period mismatch or a fold
+  /// shorter than one period.
+  void rotations(const dsp::PhaseFold& fold, std::span<double> rho) const;
+
+  /// One trace's sweep + summary: fold, rotations(), summarize_sweep.
   SpreadSpectrum sweep(std::span<const double> y, std::size_t guard) const;
 
+  /// Lengths currently held in the sx/sxx table (<= kMaxCachedLengths).
+  std::size_t cached_lengths() const;
+
  private:
-  /// The rotation-sweep inputs that depend only on the trace length:
-  /// sx[r] / sxx[r] as rotation_correlation_fft_from_fold computes them
-  /// from the fold's counts.
+  /// sx[r] / sxx[r] for an n-sample fold. sxx is empty when the pattern
+  /// is bitwise its own square: it would equal sx bit for bit.
   struct LengthStats {
     std::vector<double> sx;
     std::vector<double> sxx;
   };
+  struct Slot {
+    std::size_t n = 0;
+    std::shared_ptr<const LengthStats> stats;
+    std::uint64_t last_use = 0;
+  };
+
+  /// circular_cross_correlation(a, pattern()) with the pattern side of
+  /// the transform read from the cache.
+  void correlate_pattern(std::span<const double> a,
+                         std::vector<double>& out) const;
   std::shared_ptr<const LengthStats> length_stats(std::size_t n) const;
 
   std::vector<double> pattern_;
+  /// pattern_[p]^2, kept only when it differs bitwise from pattern_.
   std::vector<double> pattern_sq_;
   /// Plan for the period-length transforms; nullptr when the period
-  /// exceeds the registry cap (sweep() then runs the planless path).
+  /// exceeds the registry cap (rotations() then runs the planless path).
   std::shared_ptr<const dsp::FftPlan> plan_;
   std::vector<dsp::cplx> fft_pattern_;  ///< forward FFT of the pattern
 
   mutable std::mutex mu_;
-  mutable std::unordered_map<std::size_t,
-                             std::shared_ptr<const LengthStats>>
-      stats_;
+  mutable std::vector<Slot> table_;  ///< admitted lengths, LRU-evicted
+  /// Ring of lengths requested once and not yet admitted (0 = empty).
+  mutable std::array<std::size_t, kMaxCachedLengths> seen_once_{};
+  mutable std::size_t seen_next_ = 0;
+  mutable std::uint64_t clock_ = 0;
 };
 
 }  // namespace clockmark::cpa

@@ -1,11 +1,13 @@
 // Shared, size-capped LRU cache of sync::CandidateEngine instances,
 // keyed by the watermark pattern they were built for.
 //
-// Why it exists: a CandidateEngine front-loads the expensive part of a
-// blind-sync search (the pattern's FFT, per-length fold statistics,
-// scoring arenas — see sync/engine.h), so reusing one across runs is
-// the difference between paying that cost once per pattern and once per
-// search. detect::Session has always shared one engine between its
+// Why it exists: a CandidateEngine's cpa::SpectrumEngine front-loads the
+// expensive part of a blind-sync search (the pattern's FFT and the
+// per-length sx/sxx table — see cpa/spectrum_engine.h), so reusing one
+// across runs is the difference between paying that cost once per
+// pattern and once per search. The table is bounded by
+// SpectrumEngine::kMaxCachedLengths, so a retained engine holds at most
+// that many P-double vectors (about 1 MiB at P = 4095). detect::Session has always shared one engine between its
 // copies; a long-running process (the cm_serve detection service) runs
 // jobs for *many* patterns through *many* sessions, which needs the
 // cache to be shareable, bounded, and observable:

@@ -4,10 +4,12 @@
 // of M×N times.
 //
 // Three artefact classes, two stores:
-//   * sync::CandidateEngine instances (blind-search pattern tables) —
-//     delegated to a shared detect::EngineCache, which is already the
-//     size-capped LRU the detection layer uses; the broker adds the
-//     per-job hit telemetry.
+//   * sync::CandidateEngine instances (pattern FFT + bounded per-length
+//     sweep table, cpa/spectrum_engine.h) — delegated to a shared
+//     detect::EngineCache, which is already the size-capped LRU the
+//     detection layer uses; the broker adds the per-job hit telemetry.
+//     Engines are capped by count, not bytes: each holds at most
+//     SpectrumEngine::kMaxCachedLengths length tables.
 //   * sim::Scenario memos (the gate-level characterisation behind a
 //     ScenarioRef — hundreds of ms to build, shared across repetitions)
 //     and dsp::FftPlan handles — kept in a unified byte-accounted LRU

@@ -8,11 +8,26 @@
 #include "sync/search.h"
 
 namespace clockmark::stream {
+namespace {
+
+/// The sweep engine inside `shared` when it was built for `pattern`, so
+/// one engine serves the blind lock and every evaluation; otherwise a
+/// fresh one.
+std::shared_ptr<const cpa::SpectrumEngine> spectrum_for(
+    std::vector<double> pattern,
+    const std::shared_ptr<const sync::CandidateEngine>& shared) {
+  if (shared != nullptr && shared->pattern() == pattern) {
+    return shared->spectrum();
+  }
+  return std::make_shared<const cpa::SpectrumEngine>(std::move(pattern));
+}
+
+}  // namespace
 
 OnlineDetector::OnlineDetector(std::vector<double> pattern,
                                OnlineDetectorConfig config)
     : config_(config),
-      accumulator_(std::move(pattern)),
+      accumulator_(spectrum_for(std::move(pattern), config.engine)),
       detector_(config.policy),
       min_cycles_(config.min_cycles == 0 ? accumulator_.pattern().size()
                                          : config.min_cycles),
@@ -35,13 +50,11 @@ OnlineDetector::OnlineDetector(std::vector<double> pattern,
     warper_ = std::make_unique<sync::StreamWarper>(config_.known_warp);
   }
   if (config_.sync_policy == sync::SyncPolicy::kBlind) {
-    if (config_.engine != nullptr &&
-        config_.engine->pattern() == accumulator_.pattern()) {
-      engine_ = config_.engine;
-    } else {
-      engine_ = std::make_shared<const sync::CandidateEngine>(
-          accumulator_.pattern());
-    }
+    engine_ = config_.engine != nullptr &&
+                      config_.engine->spectrum() == accumulator_.engine()
+                  ? config_.engine
+                  : std::make_shared<const sync::CandidateEngine>(
+                        accumulator_.engine());
   }
 }
 

@@ -82,11 +82,12 @@ struct OnlineDetectorConfig {
   /// the lock runs on everything ingested at finalize() — which is the
   /// batch-identical configuration when set >= the stream length.
   std::size_t lock_cycles = 0;
-  /// kBlind: pre-built scoring engine to use for the lock instead of
-  /// constructing a fresh one — lets Sessions and services amortise the
-  /// engine's pattern tables across detectors (detect::EngineCache).
-  /// Used only when it was built for this detector's pattern; scores
-  /// are engine-state-independent, so sharing is bit-identical.
+  /// Pre-built engine for the blind lock and, through its
+  /// cpa::SpectrumEngine, for every evaluation — lets Sessions and
+  /// services amortise the pattern tables across detectors
+  /// (detect::EngineCache). Used only when it was built for this
+  /// detector's pattern; results are engine-state-independent, so
+  /// sharing is bit-identical.
   std::shared_ptr<const sync::CandidateEngine> engine;
 };
 
@@ -149,9 +150,9 @@ class OnlineDetector {
   bool finalized_ = false;
   bool locked_ = false;                ///< the blind lock has run
   std::vector<double> lock_buffer_;    ///< raw cycles awaiting the lock
-  /// kBlind only: candidate scoring engine for the lock, built once at
-  /// construction so repeated locks (and the pattern's FFT) are paid
-  /// for once per detector, not per search.
+  /// kBlind only: candidate scoring engine for the lock, over the
+  /// accumulator's SpectrumEngine, so the lock and the evaluations pay
+  /// for the pattern's FFT and length table once.
   std::shared_ptr<const sync::CandidateEngine> engine_;
   std::unique_ptr<sync::StreamWarper> warper_;
   std::vector<double> warp_scratch_;

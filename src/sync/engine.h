@@ -1,56 +1,22 @@
-// Candidate-batched sync scoring engine: everything sync_score
-// recomputes per candidate, computed once per search instead.
+// Blind-sync candidate scoring: warp the trace, then sweep it through a
+// shared cpa::SpectrumEngine, which holds the pattern's transform and
+// the per-length tables (see cpa/spectrum_engine.h for the contract).
 //
 // One blind search (sync/search.h) scores ~140 candidate warps against
-// the *same* trace and the *same* pattern. The historical probe
-// (sync_score) pays per candidate for work that does not depend on the
-// candidate at all:
-//   * the FFT plan registry lookup (mutex + hash per transform),
-//   * the forward FFT of the pattern (the fb side of the sxy circular
-//     correlation),
-//   * the sx / sxx circular correlations, which depend only on the
-//     *length* of the warped trace — the fold's counts vector is a
-//     deterministic function of (length, period),
-//   * a fresh allocation for the warped trace, the fold, and the rho
-//     sweep on every probe.
-// CandidateEngine hoists all four: it holds the dsp::FftPlan handle and
-// the pattern's forward FFT for the life of the search, caches the
-// assembled sx/sxx vectors per warped length (a handful of lengths
-// recur across the whole search), and scores through per-thread arenas
-// (warp_trace_into + fold reuse) so the steady-state probe allocates
-// nothing. Per probe this leaves one forward + one inverse FFT instead
-// of nine transforms.
-//
-// Bit-exactness contract: score() returns exactly what sync_score
-// returns for the same (trace, spec, guard) — asserted by tests. The
-// cached pattern FFT and per-length sx/sxx are produced by the same
-// planned-transform arithmetic circular_cross_correlation runs inline
-// (deterministic, so computing them once is unobservable), the fused
-// warp+fold replays warp_trace's and fold_by_phase's exact operation
-// sequences, and the final assembly / peak statistics are the shared
-// dsp/cpa routines themselves. Patterns too large for the plan
-// registry (period > dsp::kMaxPlannedFftSize) fall back to the
-// planless rotation_correlation_fft_from_fold, again bit-identical.
-//
-// Thread-safety: score()/score_batch() are const and race-free — the
-// per-length cache is behind a mutex (values are immutable once built;
-// a duplicate build under contention produces identical bits), scratch
-// lives in thread_local arenas, and the FFT plan is immutable.
+// the same trace and pattern; scoring through one engine pays the
+// pattern-side work once per engine instead of once per candidate.
+// score() returns exactly what the reference probe returns — warp_trace,
+// then compute_spread_spectrum(kFft) — asserted in
+// tests/test_sync_engine.cpp.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "dsp/fft.h"
+#include "cpa/spectrum_engine.h"
 #include "sync/types.h"
-
-namespace clockmark::dsp {
-class FftPlan;
-}
 
 namespace clockmark::runtime {
 class Executor;
@@ -61,14 +27,23 @@ namespace clockmark::sync {
 class CandidateEngine {
  public:
   /// Binds the watermark pattern (one period of the 0/1 model vector)
-  /// and precomputes its transform tables. Throws on an empty pattern.
+  /// and builds its SpectrumEngine. Throws on an empty pattern.
   explicit CandidateEngine(std::vector<double> pattern);
 
-  const std::vector<double>& pattern() const noexcept { return pattern_; }
+  /// Scores through an existing engine, sharing its tables. Throws on a
+  /// null engine.
+  explicit CandidateEngine(std::shared_ptr<const cpa::SpectrumEngine> spectrum);
+
+  const std::vector<double>& pattern() const noexcept {
+    return spectrum_->pattern();
+  }
+  /// The sweep engine the scores run through (never null).
+  const std::shared_ptr<const cpa::SpectrumEngine>& spectrum() const noexcept {
+    return spectrum_;
+  }
 
   /// One probe: warps the trace by `spec`, folds, sweeps, and returns
-  /// the peak z-score — bit-identical to sync_score(y, pattern(), spec,
-  /// guard). Warped traces shorter than one period score 0.0.
+  /// the peak z-score. Warped traces shorter than one period score 0.0.
   double score(std::span<const double> y, const WarpSpec& spec,
                std::size_t guard) const;
 
@@ -81,26 +56,7 @@ class CandidateEngine {
                                   runtime::Executor* executor) const;
 
  private:
-  /// The rotation-sweep inputs that depend only on the warped length:
-  /// sx[r] / sxx[r] as rotation_correlation_fft_from_fold computes them
-  /// from the fold's counts (which are n/P + (p < n mod P), independent
-  /// of the trace values).
-  struct LengthStats {
-    std::vector<double> sx;
-    std::vector<double> sxx;
-  };
-  std::shared_ptr<const LengthStats> length_stats(std::size_t n) const;
-
-  std::vector<double> pattern_;
-  std::vector<double> pattern_sq_;
-  /// Plan for the period-length transforms; nullptr when the period
-  /// exceeds the registry cap (score() then runs the planless path).
-  std::shared_ptr<const dsp::FftPlan> plan_;
-  std::vector<dsp::cplx> fft_pattern_;  ///< forward FFT of the pattern
-
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::size_t, std::shared_ptr<const LengthStats>>
-      stats_;
+  std::shared_ptr<const cpa::SpectrumEngine> spectrum_;
 };
 
 }  // namespace clockmark::sync

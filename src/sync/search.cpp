@@ -26,15 +26,6 @@ std::size_t argmax(const std::vector<double>& scores) {
 
 }  // namespace
 
-double sync_score(std::span<const double> y, std::span<const double> pattern,
-                  const WarpSpec& spec, std::size_t guard) {
-  const std::vector<double> warped = warp_trace(y, spec);
-  if (warped.size() < pattern.size()) return 0.0;
-  const cpa::SpreadSpectrum ss = cpa::compute_spread_spectrum(
-      warped, pattern, cpa::CorrelationMethod::kFft, guard);
-  return ss.peak_z;
-}
-
 SyncEstimate find_sync(std::span<const double> y,
                        std::span<const double> pattern,
                        const BlindSyncConfig& config,
@@ -210,8 +201,8 @@ SyncEstimate find_sync(const CandidateEngine& engine,
   est.correction = correction;
   est.evaluations = evaluations;
   if (warped.size() >= period) {
-    const cpa::SpreadSpectrum ss = cpa::compute_spread_spectrum(
-        warped, pattern, cpa::CorrelationMethod::kFft, config.guard);
+    const cpa::SpreadSpectrum ss =
+        engine.spectrum()->sweep(warped, config.guard);
     est.peak_rotation = ss.peak_rotation;
     est.peak_z = ss.peak_z;
     est.confidence = cpa::detection_confidence(ss);

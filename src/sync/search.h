@@ -30,22 +30,9 @@ namespace clockmark::runtime {
 class Executor;
 }
 
-namespace clockmark::cpa {
-struct SpreadSpectrum;
-}
-
 namespace clockmark::sync {
 
 class CandidateEngine;
-
-/// One probe of the search: warps the trace, runs the rotation sweep,
-/// and returns the peak z-score (the lock metric). Exposed for tests
-/// and for callers that want to score a known correction. This is the
-/// reference implementation of the lock metric; the search itself
-/// probes through a CandidateEngine, which returns bit-identical scores
-/// without the per-probe setup cost (see sync/engine.h).
-double sync_score(std::span<const double> y, std::span<const double> pattern,
-                  const WarpSpec& spec, std::size_t guard);
 
 /// Runs the coarse-to-fine search and returns the recovered correction
 /// plus lock statistics. `pattern` is one period of the 0/1 model

@@ -266,6 +266,15 @@ struct CondCase {
   bool taken;
 };
 
+// Stable printed form, e.g. "beq_5_vs_6_not_taken". Without it gtest
+// prints the raw object bytes, which hold the mnemonic's address and
+// struct padding, so each build would register the cases under new
+// ctest names.
+void PrintTo(const CondCase& cc, std::ostream* os) {
+  *os << cc.branch << '_' << cc.lhs << "_vs_" << cc.rhs
+      << (cc.taken ? "_taken" : "_not_taken");
+}
+
 class ConditionalBranches : public ::testing::TestWithParam<CondCase> {};
 
 TEST_P(ConditionalBranches, TakenWhenConditionHolds) {

@@ -5,14 +5,17 @@
 // before the trace ends on a detectable chip I run.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "cpa/accumulator.h"
 #include "cpa/detector.h"
+#include "dsp/correlate.h"
 #include "runtime/executor.h"
 #include "sim/scenario.h"
 #include "stream/online_detector.h"
 #include "stream/trace_source.h"
+#include "sync/engine.h"
 
 namespace {
 
@@ -167,6 +170,18 @@ TEST(OnlineDetector, OutOfOrderChunkThrows) {
   EXPECT_THROW(det.ingest(replay), std::invalid_argument);
 }
 
+TEST(OnlineDetector, ConfigEngineServesEvaluationsWhenPatternsMatch) {
+  const std::vector<double> pattern{1, 0, 0, 1, 1, 1, 0};
+  OnlineDetectorConfig cfg;
+  cfg.sync_policy = sync::SyncPolicy::kBlind;
+  cfg.engine = std::make_shared<const sync::CandidateEngine>(pattern);
+  const OnlineDetector shared(pattern, cfg);
+  EXPECT_EQ(shared.accumulator().engine(), cfg.engine->spectrum());
+
+  const OnlineDetector own({0, 1, 1, 0, 1, 0, 0}, cfg);
+  EXPECT_NE(own.accumulator().engine(), cfg.engine->spectrum());
+}
+
 TEST(OnlineDetector, NaiveMethodRejected) {
   OnlineDetectorConfig cfg;
   cfg.method = cpa::CorrelationMethod::kNaive;
@@ -208,6 +223,54 @@ TEST(RotationAccumulator, MatchesBatchCorrelationsChunkwise) {
             batch_folded);
   EXPECT_THROW(acc.correlations(cpa::CorrelationMethod::kNaive),
                std::invalid_argument);
+}
+
+/// The stream path's kFft finalisation against the uncached from-fold
+/// oracle at every chunk boundary with n >= P; then the last length is
+/// evaluated twice more — its admission to the engine's length table
+/// and a table hit.
+void expect_stream_matches_oracle(const std::vector<double>& y,
+                                  const std::vector<double>& pattern) {
+  cpa::RotationAccumulator acc(pattern);
+  std::size_t checked = 0;
+  for (const Chunk& c : stream::chop(y, 2048)) {
+    acc.add(c.values);
+    if (!acc.ready()) continue;
+    EXPECT_EQ(acc.correlations(cpa::CorrelationMethod::kFft),
+              dsp::rotation_correlation_fft_from_fold(acc.fold(), pattern))
+        << "n=" << acc.cycles();
+    ++checked;
+  }
+  EXPECT_GT(checked, 1u);
+  // A growing stream asks for each length once: nothing is admitted.
+  EXPECT_EQ(acc.engine()->cached_lengths(), 0u);
+  const std::vector<double> oracle =
+      dsp::rotation_correlation_fft_from_fold(acc.fold(), pattern);
+  EXPECT_EQ(acc.correlations(cpa::CorrelationMethod::kFft), oracle);
+  EXPECT_EQ(acc.engine()->cached_lengths(), 1u);
+  EXPECT_EQ(acc.correlations(cpa::CorrelationMethod::kFft), oracle);
+}
+
+class RotationAccumulatorOracle
+    : public ::testing::TestWithParam<ChipModel> {};
+
+TEST_P(RotationAccumulatorOracle, FftMatchesFromFoldAtEveryChunk) {
+  const Scenario sc(fast_config(GetParam()));
+  const auto r = sc.run(0);
+  expect_stream_matches_oracle(r.acquisition.per_cycle_power_w, r.pattern);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chips, RotationAccumulatorOracle,
+                         ::testing::Values(ChipModel::kChip1,
+                                           ChipModel::kChip2));
+
+TEST(RotationAccumulatorOracle, NonBinaryPatternMatchesFromFold) {
+  // A pattern that is not its own square keeps a separate sxx table.
+  const Scenario sc(fast_config(ChipModel::kChip1));
+  const auto r = sc.run(0);
+  std::vector<double> pattern = r.pattern;
+  for (std::size_t p = 0; p < pattern.size(); p += 5) pattern[p] = 0.5;
+  expect_stream_matches_oracle(r.acquisition.per_cycle_power_w, pattern);
 }
 
 }  // namespace

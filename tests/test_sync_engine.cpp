@@ -1,23 +1,31 @@
 // The candidate engine (sync/engine.h) must be unobservable from the
-// search's point of view: score() bit-identical to the reference
-// sync_score, batches bit-identical serial vs parallel, and a reused
+// search's point of view: score() bit-identical to the reference probe
+// sync_score below, batches bit-identical serial vs parallel, a reused
 // engine (the detection facade's steady state, with its per-length
-// caches warm) bit-identical to a throwaway one. Also pinned here: the
-// meaning of SyncEstimate::evaluations (total scored candidates) and
-// the opt-in progressive-resolution mode (coarse_top_k).
+// table warm) bit-identical to a throwaway one, and the bounded length
+// table invisible in the scores while it admits and evicts — serially
+// and under an 8-thread executor. Also pinned here: the meaning of
+// SyncEstimate::evaluations (total scored candidates) and the opt-in
+// progressive-resolution mode (coarse_top_k).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "attack/desync.h"
+#include "cpa/spectrum_engine.h"
+#include "cpa/spread_spectrum.h"
 #include "runtime/executor.h"
 #include "sim/scenario.h"
 #include "sync/engine.h"
 #include "sync/search.h"
 #include "sync/types.h"
+#include "sync/warp.h"
 
 namespace {
 
@@ -25,6 +33,17 @@ using namespace clockmark;
 using sim::ChipModel;
 using sim::Scenario;
 using sim::ScenarioConfig;
+
+/// The reference probe: warp, then the uncached batch kFft sweep. The
+/// engine's score() must equal it bit for bit.
+double sync_score(std::span<const double> y, std::span<const double> pattern,
+                  const sync::WarpSpec& spec, std::size_t guard) {
+  const std::vector<double> warped = sync::warp_trace(y, spec);
+  if (warped.size() < pattern.size()) return 0.0;
+  return cpa::compute_spread_spectrum(warped, pattern,
+                                      cpa::CorrelationMethod::kFft, guard)
+      .peak_z;
+}
 
 ScenarioConfig fast_config(ChipModel chip, std::size_t cycles = 20000) {
   ScenarioConfig cfg = chip == ChipModel::kChip1 ? sim::chip1_default()
@@ -84,7 +103,7 @@ TEST_P(SyncEngineChips, ScoreBitIdenticalToSyncScore) {
 
   for (const sync::WarpSpec& spec : probe_specs()) {
     EXPECT_EQ(engine.score(y, spec, guard),
-              sync::sync_score(y, r.pattern, spec, guard))
+              sync_score(y, r.pattern, spec, guard))
         << "ratio=" << spec.ratio << " drift=" << spec.drift
         << " offset=" << spec.offset_cycles;
   }
@@ -140,6 +159,81 @@ TEST(SyncEngine, ReusedEngineBitIdenticalToThrowawaySearch) {
 TEST(SyncEngine, EmptyPatternThrows) {
   EXPECT_THROW(sync::CandidateEngine(std::vector<double>{}),
                std::invalid_argument);
+}
+
+/// Ratio-only warps of a `cycles`-long trace with pairwise distinct
+/// warped lengths, more of them than the engine's length table holds.
+std::vector<sync::WarpSpec> distinct_length_specs(std::size_t cycles) {
+  std::vector<sync::WarpSpec> specs;
+  std::set<std::size_t> lengths;
+  const std::vector<double> probe(cycles, 0.0);
+  for (std::size_t k = 0; k < cpa::SpectrumEngine::kMaxCachedLengths + 8;
+       ++k) {
+    sync::WarpSpec s;
+    s.ratio = 1.0 + 1e-4 * static_cast<double>(k);
+    specs.push_back(s);
+    lengths.insert(sync::warp_trace(probe, s).size());
+  }
+  EXPECT_EQ(lengths.size(), specs.size());
+  return specs;
+}
+
+TEST(SyncEngineTable, CapHoldsAndScoresMatchOracleAcrossEviction) {
+  const Scenario sc(fast_config(ChipModel::kChip1));
+  const auto r = sc.run(0);
+  const auto& y = r.acquisition.per_cycle_power_w;
+  const sync::CandidateEngine engine(r.pattern);
+  const cpa::SpectrumEngine& table = *engine.spectrum();
+  const std::size_t cap = cpa::SpectrumEngine::kMaxCachedLengths;
+  const std::size_t guard = sync::BlindSyncConfig{}.guard;
+  const std::vector<sync::WarpSpec> specs = distinct_length_specs(y.size());
+
+  std::vector<double> oracle;
+  for (const sync::WarpSpec& spec : specs) {
+    oracle.push_back(sync_score(y, r.pattern, spec, guard));
+  }
+  // First request of a length: scored, not admitted. Second: admitted,
+  // evicting the least recently used length once the table is full.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
+    EXPECT_EQ(table.cached_lengths(), std::min(i, cap));
+    EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
+    EXPECT_EQ(table.cached_lengths(), std::min(i + 1, cap));
+  }
+  // Evicted lengths (the first eight) and held ones (the rest) still
+  // score the oracle's bits, and the table never outgrows its cap.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
+    EXPECT_LE(table.cached_lengths(), cap);
+  }
+}
+
+TEST(SyncEngineTable, ParallelScoringRacesEviction) {
+  // Eight workers score three copies of each of cap + 8 lengths, so
+  // admissions and evictions interleave with sweeps still reading the
+  // entries being evicted (TSan lane).
+  const Scenario sc(fast_config(ChipModel::kChip1));
+  const auto r = sc.run(0);
+  const auto& y = r.acquisition.per_cycle_power_w;
+  const sync::CandidateEngine engine(r.pattern);
+  const std::size_t guard = sync::BlindSyncConfig{}.guard;
+  const std::vector<sync::WarpSpec> distinct = distinct_length_specs(y.size());
+
+  std::vector<sync::WarpSpec> specs;
+  std::vector<double> expected;
+  for (const sync::WarpSpec& spec : distinct) {
+    const double oracle = sync_score(y, r.pattern, spec, guard);
+    for (int copy = 0; copy < 3; ++copy) {
+      specs.push_back(spec);
+      expected.push_back(oracle);
+    }
+  }
+  runtime::Executor executor(8);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(engine.score_batch(y, specs, guard, &executor), expected);
+    EXPECT_LE(engine.spectrum()->cached_lengths(),
+              cpa::SpectrumEngine::kMaxCachedLengths);
+  }
 }
 
 TEST(BlindSync, EvaluationsCountEveryScoredCandidate) {
