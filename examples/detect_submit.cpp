@@ -5,9 +5,9 @@
 // one period of the expected watermark) or a scenario reference the
 // server synthesises (--scenario-chip, using the simulator's pattern).
 //
-//   submit a file      ./detect_submit --port=P --file=cap.cmtrace \
+//   submit a file      ./detect_submit --port=P --file=cap.cmtrace
 //                          --pattern=period.csv [--blind] [--stream]
-//   submit a scenario  ./detect_submit --port=P --scenario-chip=1 \
+//   submit a scenario  ./detect_submit --port=P --scenario-chip=1
 //                          [--cycles=300000] [--seed=1] [--no-watermark]
 //   cancel / stop      ./detect_submit --port=P --cancel=ID
 //                      ./detect_submit --port=P --shutdown
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     spec.priority = parse_priority(args.get("priority", "normal"));
     spec.mode = args.has("stream") ? serve::JobMode::kStream
                                    : serve::JobMode::kBatch;
-    spec.max_cycles =
+    spec.request.streaming.max_cycles =
         static_cast<std::size_t>(args.get_int("max-cycles", 0));
     if (args.has("blind")) spec.request.sync = sync::SyncPolicy::kBlind;
 

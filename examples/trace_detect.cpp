@@ -6,7 +6,7 @@
 // handling goes through the detect::Session facade.
 //
 //   $ ./trace_detect --trace=y.csv --width=12 [--taps=0x53] [--seed=1]
-//                    [--z=5.5] [--method=fft|folded|naive]
+//                    [--z=5.5] [--method=fft|folded]
 //                    [--sync=triggered|known|blind] [--offset=F]
 //
 // --sync=triggered (default) trusts the capture alignment, but a
@@ -50,8 +50,12 @@ int main(int argc, char** argv) {
   detect::Request request;
   request.policy.min_peak_z = args.get_double("z", request.policy.min_peak_z);
   const std::string m = args.get("method", "fft");
-  if (m == "folded") request.method = cpa::CorrelationMethod::kFolded;
-  if (m == "naive") request.method = cpa::CorrelationMethod::kNaive;
+  if (m == "folded") {
+    request.method = cpa::CorrelationMethod::kFolded;
+  } else if (m != "fft") {
+    std::cerr << "unknown --method '" << m << "' (fft or folded)\n";
+    return 2;
+  }
 
   const std::string sync_mode = args.get("sync", "triggered");
   const double cli_offset = args.get_double("offset", 0.0);
@@ -81,11 +85,10 @@ int main(int argc, char** argv) {
       request.known_warp.offset_cycles =
           -(cli_offset != 0.0 ? cli_offset : meta.trigger_offset_cycles);
     } else if (sync_mode == "triggered") {
-      // Same upgrade rule as Session::run_file: recorded misalignment
-      // beats the trusted-trigger assumption.
-      if (meta.trigger_offset_cycles != 0.0) {
-        request.sync = sync::SyncPolicy::kKnownOffset;
-        request.known_warp.offset_cycles = -meta.trigger_offset_cycles;
+      // Session::run_file's upgrade rule: recorded misalignment beats
+      // the trusted-trigger assumption.
+      request = detect::Session::with_file_meta(request, meta);
+      if (request.sync == sync::SyncPolicy::kKnownOffset) {
         std::cout << "file metadata records trigger offset "
                   << meta.trigger_offset_cycles
                   << " cycles — correcting it before CPA\n";

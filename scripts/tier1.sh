@@ -13,7 +13,7 @@ SKIP_TSAN=0
 [[ "${1:-}" == "--skip-tsan" ]] && SKIP_TSAN=1
 
 echo "=== tier-1: build + full test suite ==="
-cmake -B build -S .
+cmake -B build -S . -DCLOCKMARK_WERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 

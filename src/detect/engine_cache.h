@@ -5,10 +5,11 @@
 // expensive part of a blind-sync search (the pattern's FFT and the
 // per-length sx/sxx table — see cpa/spectrum_engine.h), so reusing one
 // across runs is the difference between paying that cost once per
-// pattern and once per search. The table is bounded by
-// SpectrumEngine::kMaxCachedLengths, so a retained engine holds at most
-// that many P-double vectors (about 1 MiB at P = 4095). detect::Session has always shared one engine between its
-// copies; a long-running process (the cm_serve detection service) runs
+// pattern and once per search. Every kBlind detect::Session run takes
+// its engine from here. The table is bounded
+// by SpectrumEngine::kMaxCachedLengths, so a retained engine holds at
+// most that many P-double vectors (about 1 MiB at P = 4095). A
+// long-running process (the cm_serve detection service) runs
 // jobs for *many* patterns through *many* sessions, which needs the
 // cache to be shareable, bounded, and observable:
 //

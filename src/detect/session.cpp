@@ -1,63 +1,12 @@
 #include "detect/session.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "cpa/confidence.h"
 #include "measure/trace_io.h"
-#include "sync/engine.h"
-#include "sync/search.h"
-#include "sync/warp.h"
 
 namespace clockmark::detect {
-
-namespace {
-
-// Batch decision with the request's sync handling applied up front.
-// `engine` is non-null exactly when the request is kBlind (and the
-// pattern non-empty); it carries the same pattern as `pattern`.
-Report run_batch(const Request& request, std::span<const double> y,
-                 std::span<const double> pattern,
-                 const sync::CandidateEngine* engine,
-                 runtime::Executor* executor) {
-  Report report;
-  report.cycles = y.size();
-  std::vector<double> warped;
-  std::span<const double> input = y;
-  switch (request.sync) {
-    case sync::SyncPolicy::kTriggered:
-      break;
-    case sync::SyncPolicy::kKnownOffset:
-      if (!request.known_warp.is_identity()) {
-        warped = sync::warp_trace(y, request.known_warp);
-        input = warped;
-        sync::SyncEstimate applied;
-        applied.correction = request.known_warp;
-        applied.locked = true;
-        report.sync = applied;
-      }
-      break;
-    case sync::SyncPolicy::kBlind: {
-      const sync::SyncEstimate est =
-          engine != nullptr
-              ? sync::find_sync(*engine, y, request.blind, executor)
-              : sync::find_sync(y, pattern, request.blind, executor);
-      report.sync = est;
-      if (!est.correction.is_identity()) {
-        warped = sync::warp_trace(y, est.correction);
-        input = warped;
-      }
-      break;
-    }
-  }
-  const cpa::Detector detector(request.policy);
-  report.detection = detector.detect(input, pattern, request.method);
-  report.detected = report.detection.detected;
-  report.confidence = cpa::detection_confidence(report.detection.spectrum);
-  return report;
-}
-
-}  // namespace
 
 Session::Session(Request request, std::vector<double> pattern,
                  std::shared_ptr<EngineCache> engines)
@@ -66,33 +15,77 @@ Session::Session(Request request, std::vector<double> pattern,
       engine_cache_(engines != nullptr ? std::move(engines)
                                        : std::make_shared<EngineCache>()) {}
 
-std::shared_ptr<const sync::CandidateEngine> Session::engine_for(
-    std::span<const double> pattern) const {
-  if (request_.sync != sync::SyncPolicy::kBlind || pattern.empty()) {
-    return nullptr;
-  }
-  return engine_cache_->acquire(pattern);
-}
-
-Report Session::run(std::span<const double> y,
-                    runtime::Executor* executor) const {
+void Session::require_pattern() const {
   if (pattern_.empty()) {
     throw std::logic_error(
         "detect::Session: no pattern bound; construct the Session with the "
         "expected watermark pattern (or use the Scenario overload)");
   }
-  return run_batch(request_, y, pattern_, engine_for(pattern_).get(),
-                   executor);
+}
+
+Report Session::run(std::span<const double> y,
+                    runtime::Executor* executor) const {
+  require_pattern();
+  stream::SpanSource source(y, request_.streaming.chunk_cycles);
+  return run_stream(source, whole_trace(request_), pattern_, executor, {});
 }
 
 Report Session::run(const sim::Scenario& scenario, std::size_t repetition,
                     runtime::Executor* executor) const {
   sim::ScenarioResult result = scenario.run(repetition);
-  Report report = run_batch(request_, result.acquisition.per_cycle_power_w,
-                            result.pattern, engine_for(result.pattern).get(),
-                            executor);
+  stream::SpanSource source(result.acquisition.per_cycle_power_w,
+                            request_.streaming.chunk_cycles);
+  Report report = run_stream(source, whole_trace(request_), result.pattern,
+                             executor, {});
   report.scenario = std::move(result);
   return report;
+}
+
+Report Session::run(stream::TraceSource& source, runtime::Executor* executor,
+                    const runtime::CancelToken& cancel) const {
+  require_pattern();
+  return run_stream(source, request_, pattern_, executor, cancel);
+}
+
+Report Session::run_file(const std::string& path,
+                         runtime::Executor* executor) const {
+  require_pattern();
+  stream::ReplaySource source(path, request_.streaming.chunk_cycles);
+  return run_stream(source, with_file_meta(request_, source.meta()),
+                    pattern_, executor, {});
+}
+
+Report Session::run_stream(stream::TraceSource& source,
+                           const Request& request,
+                           const std::vector<double>& pattern,
+                           runtime::Executor* executor,
+                           const runtime::CancelToken& cancel) const {
+  stream::StreamPipelineConfig config;
+  config.queue_capacity = request.streaming.queue_capacity;
+  config.max_cycles = request.streaming.max_cycles;
+  config.detector = stream_detector_config(request);
+  // Only the blind lock takes the shared engine. A retained engine's
+  // length table admits any length asked for on two runs, so handing it
+  // to every run fills the table with early-stop evaluation lengths
+  // (e2ebench file_stream: 24-32 entries per engine, peak RSS +13 %).
+  bool engine_hit = false;
+  if (request.sync == sync::SyncPolicy::kBlind) {
+    config.detector.engine = engine_cache_->acquire(pattern, &engine_hit);
+  }
+
+  stream::StreamReport sr =
+      stream::StreamPipeline(config).run(source, pattern, executor, cancel);
+  if (sr.source_failed) throw std::runtime_error(sr.error);
+  Report report = report_from_decision(sr.decision, request);
+  report.engine_hit = engine_hit;
+  report.stream = std::move(sr);
+  return report;
+}
+
+Request Session::whole_trace(Request request) {
+  request.streaming.early_stop = false;
+  request.lock_cycles = std::numeric_limits<std::size_t>::max();
+  return request;
 }
 
 stream::OnlineDetectorConfig stream_detector_config(const Request& request) {
@@ -130,39 +123,6 @@ Report report_from_decision(const stream::OnlineDecision& decision,
   return report;
 }
 
-stream::StreamPipelineConfig Session::pipeline_config(
-    const Request& request) const {
-  stream::StreamPipelineConfig cfg;
-  cfg.queue_capacity = request.streaming.queue_capacity;
-  cfg.detector = stream_detector_config(request);
-  // Blind streams reuse the session's cached engine for the lock; the
-  // lock itself is bit-identical either way (same pattern, same search).
-  if (request.sync == sync::SyncPolicy::kBlind) {
-    cfg.detector.engine = engine_cache_->acquire(pattern_);
-  }
-  return cfg;
-}
-
-Report Session::run_stream(stream::TraceSource& source,
-                           const Request& request,
-                           runtime::Executor* executor) const {
-  if (pattern_.empty()) {
-    throw std::logic_error(
-        "detect::Session: no pattern bound; construct the Session with the "
-        "expected watermark pattern");
-  }
-  const stream::StreamPipeline pipeline(pipeline_config(request));
-  stream::StreamReport sr = pipeline.run(source, pattern_, executor);
-  Report report = report_from_decision(sr.decision, request);
-  report.stream = std::move(sr);
-  return report;
-}
-
-Report Session::run(stream::TraceSource& source,
-                    runtime::Executor* executor) const {
-  return run_stream(source, request_, executor);
-}
-
 Request Session::with_file_meta(Request request,
                                 const measure::TraceMeta& meta) {
   if (request.use_file_meta && request.sync == sync::SyncPolicy::kTriggered &&
@@ -176,13 +136,6 @@ Request Session::with_file_meta(Request request,
     request.known_warp.offset_cycles = -meta.trigger_offset_cycles;
   }
   return request;
-}
-
-Report Session::run_file(const std::string& path,
-                         runtime::Executor* executor) const {
-  stream::ReplaySource source(path, request_.streaming.chunk_cycles);
-  return run_stream(source, with_file_meta(request_, source.meta()),
-                    executor);
 }
 
 }  // namespace clockmark::detect

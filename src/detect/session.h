@@ -2,27 +2,40 @@
 // front of every way this repo can decide "watermark present?".
 //
 //   detect::Request   what to decide and how — detector policy, sweep
-//                     method, and the SyncPolicy (triggered / known
-//                     offset / blind) with its warp or search config.
+//                     method, the SyncPolicy (triggered / known offset /
+//                     blind) with its warp or search config, and the
+//                     streaming knobs (chunking, early stop, cycle
+//                     budget).
 //   detect::Session   the bound entry point. One Session runs any number
 //                     of inputs: a materialised Y vector, a Scenario
 //                     repetition, a live TraceSource, or a trace file.
 //   detect::Report    the decision plus everything that produced it —
 //                     the full cpa::DetectionResult, the blind-lock
-//                     SyncEstimate when one ran, the StreamReport for
-//                     streamed inputs, and the ScenarioResult for
-//                     simulated ones.
+//                     SyncEstimate when one ran, the StreamReport of the
+//                     run, the ScenarioResult for simulated inputs, and
+//                     whether a blind lock's engine came from the cache.
 //
-// Path equivalences (asserted in tests/test_detect.cpp):
-//   * run(span) under kTriggered is bit-identical to the deprecated
-//     sim::run_detection / cpa::Detector::detect pair.
-//   * run(TraceSource&) with early_stop off is bit-identical to
-//     run(span) over the concatenated chunks, for every SyncPolicy
-//     (the streaming blind lock with lock_cycles >= the stream length
-//     sees the exact full trace — see stream/online_detector.h).
+// One loop: every overload runs stream::StreamPipeline over an
+// OnlineDetector configured by stream_detector_config(request); a kBlind
+// run takes its lock and sweep engine from the session's EngineCache.
+//   * run(span) and run(scenario) chunk the materialised trace through a
+//     stream::SpanSource under whole_trace(request) — early stop off and
+//     the blind lock on the full trace — the configuration under which
+//     the streamed decision equals the batch composition find_sync →
+//     warp_trace → cpa::Detector::detect bit for bit (asserted in
+//     tests/test_detect.cpp for every SyncPolicy on chips I and II). A
+//     trace shorter than one pattern period is "not detected" with a
+//     reason.
+//   * run(TraceSource&) honours the request's streaming knobs as given;
+//     with early stop off and lock_cycles >= the stream length it equals
+//     run(span) over the concatenated chunks.
 //   * run_file replays write_trace_* output bit-exactly, and uses the
 //     CMTRACE2 / "# meta" capture metadata to pick the sync handling
-//     when the request allows it (use_file_meta).
+//     when the request allows it (with_file_meta).
+// Streamed inputs fail closed: a source that throws mid-stream makes
+// run(TraceSource&) / run_file throw its error, never a verdict over the
+// prefix. kNaive needs the whole trace in memory and is rejected with
+// std::invalid_argument; it stays the oracle of cpa::correlate_rotations.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +47,7 @@
 
 #include "cpa/detector.h"
 #include "detect/engine_cache.h"
-#include "sim/experiment.h"
+#include "runtime/cancel.h"
 #include "sim/scenario.h"
 #include "stream/pipeline.h"
 #include "sync/types.h"
@@ -45,10 +58,6 @@ struct TraceMeta;
 
 namespace clockmark::runtime {
 class Executor;
-}
-
-namespace clockmark::sync {
-class CandidateEngine;
 }
 
 namespace clockmark::detect {
@@ -65,12 +74,14 @@ struct Request {
   sync::SyncPolicy sync = sync::SyncPolicy::kTriggered;
   sync::WarpSpec known_warp;
   sync::BlindSyncConfig blind;
-  /// kBlind, streamed inputs only: raw cycles buffered before the lock
-  /// runs mid-stream; 0 = four pattern periods (see OnlineDetectorConfig).
+  /// kBlind, run(TraceSource&) / run_file only (span and scenario runs
+  /// lock on the full trace): raw cycles buffered before the lock runs
+  /// mid-stream; 0 = four pattern periods (see OnlineDetectorConfig).
   std::size_t lock_cycles = 0;
 
-  /// Knobs that only apply to streamed inputs (run(TraceSource&) and
-  /// run_file).
+  /// The detection loop's knobs. Span and scenario runs use only
+  /// chunk_cycles, queue_capacity and max_cycles (whole_trace() turns
+  /// early stop off); streamed inputs honour them all.
   struct Streaming {
     std::size_t chunk_cycles = 4096;
     std::size_t queue_capacity = 8;
@@ -79,6 +90,10 @@ struct Request {
     std::size_t consecutive_evaluations = 3;
     std::size_t evaluate_every_chunks = 1;
     std::size_t min_cycles = 0;  ///< 0 = one pattern period
+    /// Cycle budget: the loop stops feeding after this many raw cycles
+    /// and decides on that prefix (0 = unlimited) — the governance knob
+    /// for unbounded captures.
+    std::size_t max_cycles = 0;
   };
   Streaming streaming;
 
@@ -99,19 +114,21 @@ struct Report {
   /// Sync outcome when a correction was applied (kKnownOffset echoes the
   /// requested warp; kBlind reports the recovered estimate).
   std::optional<sync::SyncEstimate> sync;
-  std::optional<stream::StreamReport> stream;   ///< streamed inputs
+  std::optional<stream::StreamReport> stream;   ///< the loop's counters
   std::optional<sim::ScenarioResult> scenario;  ///< simulated inputs
+  /// kBlind: the lock's engine was served by the EngineCache, not built
+  /// for this run (always false for other policies, which build none).
+  bool engine_hit = false;
 };
 
-/// The OnlineDetector configuration a Request maps to — the single
-/// translation both Session's streaming path and external drivers (the
-/// cm_serve service runs detectors directly for cancellability) use, so
-/// their verdicts stay bit-identical to Session::run.
+/// The OnlineDetector configuration a Request maps to — the one
+/// translation the Session loop uses, public so that external drivers
+/// of an OnlineDetector reproduce Session's verdicts bit for bit.
 stream::OnlineDetectorConfig stream_detector_config(const Request& request);
 
-/// Folds a finished OnlineDecision into a Report under `request` —
-/// verdict, confidence, cycles, and the sync echo for kKnownOffset
-/// (Report.stream / .scenario are left for the caller to attach).
+/// Folds an OnlineDecision into a Report under `request` — verdict,
+/// confidence, cycles, and the sync echo for kKnownOffset
+/// (Report.stream / .scenario / .engine_hit are left for the caller).
 Report report_from_decision(const stream::OnlineDecision& decision,
                             const Request& request);
 
@@ -125,30 +142,37 @@ class Session {
   explicit Session(Request request = {}, std::vector<double> pattern = {},
                    std::shared_ptr<EngineCache> engines = nullptr);
 
-  /// Batch detection over a materialised per-cycle power trace. The
-  /// executor, when non-null, parallelises the blind search (the sweep
-  /// itself is single-shot); output is bit-identical at any thread
-  /// count.
+  /// Detection over a materialised per-cycle power trace: chunked
+  /// through the loop under whole_trace(request()). The executor, when
+  /// non-null, parallelises the blind search and the sweep; output is
+  /// bit-identical at any thread count.
   Report run(std::span<const double> y,
              runtime::Executor* executor = nullptr) const;
 
   /// Simulates one scenario repetition (Scenario::run) and decides on
-  /// its Y vector with the scenario's own pattern. Report.scenario holds
-  /// the full ScenarioResult. Bit-identical to the deprecated
-  /// sim::run_detection under the default (kTriggered) request.
+  /// its Y vector with the scenario's own pattern, as run(span) does.
+  /// Report.scenario holds the full ScenarioResult.
   Report run(const sim::Scenario& scenario, std::size_t repetition = 0,
              runtime::Executor* executor = nullptr) const;
 
-  /// Streams the source through a StreamPipeline / OnlineDetector with
-  /// the request's sync policy and streaming knobs.
+  /// Streams the source through the loop with the request's sync policy
+  /// and streaming knobs. A cancel on `cancel` stops the loop at the
+  /// next chunk boundary without finalising (Report.stream->cancelled);
+  /// a throwing source makes this throw its error.
   Report run(stream::TraceSource& source,
-             runtime::Executor* executor = nullptr) const;
+             runtime::Executor* executor = nullptr,
+             const runtime::CancelToken& cancel = {}) const;
 
-  /// Replays a trace file (CSV / CMTRACE binary) through the streaming
-  /// path. With use_file_meta, a recorded trigger offset upgrades a
-  /// kTriggered request to kKnownOffset (see Request).
+  /// Replays a trace file (CSV / CMTRACE binary) through the loop. With
+  /// use_file_meta, a recorded trigger offset upgrades a kTriggered
+  /// request to kKnownOffset (see Request).
   Report run_file(const std::string& path,
                   runtime::Executor* executor = nullptr) const;
+
+  /// The whole-trace translation run(span) and run(scenario) apply (and
+  /// the service's JobMode::kBatch): early stop off and the blind lock
+  /// deferred to the end of the input, so the decision covers all of it.
+  static Request whole_trace(Request request);
 
   /// The metadata upgrade run_file applies, exposed for callers that
   /// stream file-shaped payloads themselves (the service receives
@@ -163,19 +187,17 @@ class Session {
   const Request& request() const noexcept { return request_; }
   const std::vector<double>& pattern() const noexcept { return pattern_; }
   /// The shared engine cache (never null). Its stats answer "how often
-  /// did runs reuse a blind-search engine?".
+  /// did blind runs reuse an engine?".
   const std::shared_ptr<EngineCache>& engines() const noexcept {
     return engine_cache_;
   }
 
  private:
-  stream::StreamPipelineConfig pipeline_config(const Request& request) const;
+  void require_pattern() const;
   Report run_stream(stream::TraceSource& source, const Request& request,
-                    runtime::Executor* executor) const;
-  /// kBlind requests only: the sync::CandidateEngine for `pattern` from
-  /// the shared cache. nullptr for non-blind requests.
-  std::shared_ptr<const sync::CandidateEngine> engine_for(
-      std::span<const double> pattern) const;
+                    const std::vector<double>& pattern,
+                    runtime::Executor* executor,
+                    const runtime::CancelToken& cancel) const;
 
   Request request_;
   std::vector<double> pattern_;

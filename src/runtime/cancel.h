@@ -1,21 +1,21 @@
-// Cooperative cancellation for service jobs: a CancelSource flips a
-// flag, any number of CancelToken copies observe it. Cancellation in
-// the detection paths is *cooperative by design* — a batch CPA sweep or
-// a blind-search probe is not interruptible mid-kernel, so the service
-// checks the token at the natural safe points (chunk boundaries in the
-// stream loop, between phases in the batch path) and a cancel lands at
-// the next one. std::stop_token would fit, but a 20-line shared atomic
-// keeps the dependency surface of cm_serve at "what the repo already
-// uses" and makes the memory-order story explicit.
+// Cooperative cancellation: a CancelSource flips a flag, any number of
+// CancelToken copies observe it. Cancellation in the detection loop is
+// *cooperative by design* — a CPA sweep or a blind-search probe is not
+// interruptible mid-kernel, so stream::StreamPipeline checks the token
+// at its safe points (each chunk boundary and before finalisation) and
+// a cancel lands at the next one. std::stop_token would fit, but a
+// 20-line shared atomic keeps the dependency surface at "what the repo
+// already uses" and makes the memory-order story explicit.
 #pragma once
 
 #include <atomic>
 #include <memory>
 
-namespace clockmark::serve {
+namespace clockmark::runtime {
 
 class CancelToken {
  public:
+  /// A default token is never cancelled.
   CancelToken() = default;
 
   /// True once the owning source requested cancellation. Relaxed order
@@ -47,4 +47,4 @@ class CancelSource {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-}  // namespace clockmark::serve
+}  // namespace clockmark::runtime

@@ -107,7 +107,9 @@ class ResourceBroker {
                                                 const ScenarioRef& ref,
                                                 bool* hit = nullptr);
 
-  /// The blind-search engine for `pattern`, via the shared EngineCache.
+  /// The blind-search engine for `pattern`, via the shared EngineCache —
+  /// the warm-up entry point; jobs acquire through engines() inside
+  /// detect::Session.
   std::shared_ptr<const sync::CandidateEngine> engine(
       const std::string& tenant, std::span<const double> pattern,
       bool* hit = nullptr);

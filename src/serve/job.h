@@ -55,6 +55,7 @@ struct ScenarioRef {
   double probe_noise_v_rms = 0.0;
 };
 
+/// The per-job cycle budget is request.streaming.max_cycles.
 struct JobSpec {
   std::string tenant = "default";
   JobPriority priority = JobPriority::kNormal;
@@ -63,10 +64,6 @@ struct JobSpec {
   /// Expected watermark pattern (one period of WMARK). Required for
   /// every payload except `scenario`, which carries its own.
   std::vector<double> pattern;
-  /// Per-job cycle budget: the service stops feeding the detector after
-  /// this many raw cycles and decides on what it has (0 = unlimited).
-  /// The governance knob for tenants streaming unbounded captures.
-  std::size_t max_cycles = 0;
 
   /// Exactly one of the four payloads below.
   std::optional<std::vector<double>> trace;  ///< inline per-cycle trace

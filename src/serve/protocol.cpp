@@ -185,7 +185,8 @@ Frame encode_submit(const JobSpec& spec) {
   w.str(spec.tenant);
   w.u8(static_cast<std::uint8_t>(spec.priority));
   w.u8(static_cast<std::uint8_t>(spec.mode));
-  w.u64(spec.max_cycles);
+  // The budget keeps its wire slot ahead of the request block.
+  w.u64(spec.request.streaming.max_cycles);
 
   const detect::Request& rq = spec.request;
   w.f64(rq.policy.min_peak_z);
@@ -251,7 +252,7 @@ JobSpec decode_submit(const Frame& frame) {
   spec.tenant = r.str();
   spec.priority = checked_enum<JobPriority>(r.u8(), 2, "priority");
   spec.mode = checked_enum<JobMode>(r.u8(), 1, "mode");
-  spec.max_cycles = static_cast<std::size_t>(r.u64());
+  spec.request.streaming.max_cycles = static_cast<std::size_t>(r.u64());
 
   detect::Request& rq = spec.request;
   rq.policy.min_peak_z = r.f64();

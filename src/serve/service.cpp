@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/scenario.h"
-#include "stream/online_detector.h"
 #include "stream/trace_source.h"
 
 namespace clockmark::serve {
@@ -19,35 +17,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
-
-/// Chunks an inline trace owned by the JobSpec (stable for the job's
-/// lifetime — the spec lives in the JobState the worker holds).
-class InlineTraceSource : public stream::TraceSource {
- public:
-  InlineTraceSource(const std::vector<double>& y, std::size_t chunk_cycles)
-      : y_(y), chunk_cycles_(chunk_cycles == 0 ? 4096 : chunk_cycles) {}
-
-  std::optional<stream::Chunk> next() override {
-    if (position_ >= y_.size()) return std::nullopt;
-    const std::size_t take = std::min(chunk_cycles_, y_.size() - position_);
-    stream::Chunk chunk;
-    chunk.index = index_++;
-    chunk.start_cycle = position_;
-    chunk.values.assign(y_.begin() + static_cast<std::ptrdiff_t>(position_),
-                        y_.begin() +
-                            static_cast<std::ptrdiff_t>(position_ + take));
-    position_ += take;
-    return chunk;
-  }
-
-  std::size_t total_cycles() const override { return y_.size(); }
-
- private:
-  const std::vector<double>& y_;
-  std::size_t chunk_cycles_;
-  std::size_t position_ = 0;
-  std::size_t index_ = 0;
-};
 
 std::string validate(const JobSpec& spec) {
   const int payloads = (spec.trace.has_value() ? 1 : 0) +
@@ -74,7 +43,7 @@ std::string validate(const JobSpec& spec) {
 struct DetectionService::JobState {
   std::uint64_t id = 0;
   JobSpec spec;
-  CancelSource cancel;
+  runtime::CancelSource cancel;
   std::promise<JobResult> promise;
   std::shared_future<JobResult> future;
   Clock::time_point submitted_at;
@@ -229,7 +198,7 @@ void DetectionService::run_job(const std::shared_ptr<JobState>& state) {
   result.id = state->id;
   result.tenant = state->spec.tenant;
   result.timing.queue_s = seconds_since(state->submitted_at, picked_up);
-  const CancelToken token = state->cancel.token();
+  const runtime::CancelToken token = state->cancel.token();
   const JobSpec& spec = state->spec;
 
   if (token.cancelled()) {
@@ -240,7 +209,8 @@ void DetectionService::run_job(const std::shared_ptr<JobState>& state) {
   }
 
   try {
-    // --- Resolve the payload to a chunk source + pattern + request. ---
+    // Resolve the payload to a chunk source + pattern + request, then
+    // hand all three to the one detection loop (detect::Session).
     detect::Request eff = spec.request;
     std::vector<double> pattern = spec.pattern;
     std::shared_ptr<const sim::Scenario> scenario;  // pins the broker entry
@@ -256,8 +226,8 @@ void DetectionService::run_job(const std::shared_ptr<JobState>& state) {
       // Inline traces are file-shaped payloads (the wire carries them as
       // CMTRACE2 frames): honour the capture metadata like run_file does.
       eff = detect::Session::with_file_meta(eff, spec.trace_meta);
-      source = std::make_unique<InlineTraceSource>(*spec.trace,
-                                                   config_.chunk_cycles);
+      source = std::make_unique<stream::SpanSource>(*spec.trace,
+                                                    config_.chunk_cycles);
     } else if (!spec.trace_file.empty()) {
       auto s = std::make_unique<stream::ReplaySource>(
           spec.trace_file, eff.streaming.chunk_cycles);
@@ -270,49 +240,14 @@ void DetectionService::run_job(const std::shared_ptr<JobState>& state) {
       }
     }
     if (spec.mode == JobMode::kBatch) {
-      // Decide over the whole input: this is the configuration under
-      // which streamed == batch holds bit-exactly for every SyncPolicy
-      // (stream/online_detector.h), so the verdict equals
-      // Session::run(span) / run_file on the same input.
-      eff.streaming.early_stop = false;
-      eff.lock_cycles = std::numeric_limits<std::size_t>::max();
+      eff = detect::Session::whole_trace(std::move(eff));
     }
-    stream::OnlineDetectorConfig cfg = detect::stream_detector_config(eff);
-    if (eff.sync == sync::SyncPolicy::kBlind) {
-      cfg.engine =
-          broker_->engine(spec.tenant, pattern, &result.cache.engine_hit);
-    }
-    stream::OnlineDetector detector(pattern, cfg);
-
-    // --- The chunk loop: every governance hook lives here. ---
-    bool cancelled = false;
-    while (std::optional<stream::Chunk> chunk = source->next()) {
-      if (token.cancelled()) {
-        cancelled = true;
-        break;
-      }
-      if (spec.max_cycles != 0) {
-        if (chunk->start_cycle >= spec.max_cycles) break;
-        if (chunk->end_cycle() > spec.max_cycles) {
-          chunk->values.resize(spec.max_cycles - chunk->start_cycle);
-        }
-      }
-      const bool decided = detector.ingest(*chunk, config_.executor);
-      if (decided) break;
-      if (spec.max_cycles != 0 &&
-          detector.cycles_consumed() >= spec.max_cycles) {
-        break;
-      }
-    }
-    if (cancelled || token.cancelled()) {
-      result.status = JobStatus::kCancelled;
-      result.report.cycles = detector.cycles_consumed();
-    } else {
-      const stream::OnlineDecision& decision =
-          detector.finalize(config_.executor);
-      result.report = detect::report_from_decision(decision, eff);
-      result.status = JobStatus::kDone;
-    }
+    const detect::Session session(std::move(eff), std::move(pattern),
+                                  broker_->engines());
+    result.report = session.run(*source, config_.executor, token);
+    result.cache.engine_hit = result.report.engine_hit;
+    result.status = result.report.stream->cancelled ? JobStatus::kCancelled
+                                                    : JobStatus::kDone;
   } catch (const std::exception& e) {
     result.status = JobStatus::kFailed;
     result.error = e.what();

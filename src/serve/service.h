@@ -1,16 +1,17 @@
 // The detection service: jobs in, verdicts out, under governance.
 //
 // DetectionService runs a pool of worker threads over a FairQueue of
-// JobSpecs. Each job resolves its payload to a chunk stream, builds a
-// stream::OnlineDetector configured exactly as detect::Session would
-// (detect::stream_detector_config — the single Request translation), and
-// drives it chunk by chunk. That one loop gives every service promise a
-// place to live:
+// JobSpecs. A worker resolves the job's payload to a stream::TraceSource
+// and its pattern, then runs detect::Session — built over the broker's
+// shared engine cache — on that source with the job's CancelToken. The
+// service keeps no detection loop of its own: every promise below lives
+// in Session's one loop (stream::StreamPipeline) or in the queue.
 //
-//   verdict fidelity   kBatch jobs force early-stop off and a full-trace
-//                      blind lock, so the verdict is bit-identical to
-//                      batch Session::run over the same input; kStream
-//                      jobs honour the streaming knobs and match
+//   verdict fidelity   kBatch jobs run under Session::whole_trace (early
+//                      stop off, full-trace blind lock), the translation
+//                      Session::run(span) applies, so the verdict is
+//                      bit-identical to Session::run over the same input;
+//                      kStream jobs honour the streaming knobs and match
 //                      Session::run(TraceSource&). Asserted in
 //                      tests/test_serve.cpp for chips I and II.
 //   cancellation       the job's CancelToken is checked at every chunk
@@ -18,11 +19,14 @@
 //                      lands at the next boundary (cooperative — a CPA
 //                      kernel mid-sweep is never interrupted). Queued
 //                      jobs are pulled straight out of the queue.
-//   budgets            JobSpec::max_cycles stops feeding after the
-//                      budget and decides on what was ingested.
-//   shared caches      scenario memos and blind-search engines come
-//                      from the ResourceBroker; per-job hit telemetry
-//                      rides back on the JobResult.
+//   budgets            Request::streaming.max_cycles stops feeding after
+//                      the budget and decides on what was ingested.
+//   failures           a payload or source that throws resolves the job
+//                      kFailed with the error text — never a verdict over
+//                      a failed stream's prefix.
+//   shared caches      scenario memos and blind-search engines come from
+//                      the ResourceBroker; per-job hit telemetry rides
+//                      back on the JobResult.
 //   backpressure       the queue is bounded; submit() blocks (or
 //                      rejects, with reject_when_full) when the service
 //                      is saturated.
@@ -44,7 +48,6 @@
 #include <vector>
 
 #include "serve/broker.h"
-#include "serve/cancel.h"
 #include "serve/job.h"
 #include "serve/queue.h"
 
@@ -64,7 +67,8 @@ struct ServiceConfig {
   /// the request's streaming.chunk_cycles, matching Session::run_file).
   std::size_t chunk_cycles = 4096;
   /// Optional executor parallelising per-job detector work (the blind
-  /// lock, the evaluation sweeps). Verdicts are bit-identical with or
+  /// lock, the evaluation sweeps; the chunk producer is a thread of the
+  /// job's own). Verdicts are bit-identical with or
   /// without it. Not owned; must outlive the service.
   runtime::Executor* executor = nullptr;
   BrokerConfig broker;

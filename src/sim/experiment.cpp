@@ -8,17 +8,6 @@
 
 namespace clockmark::sim {
 
-DetectionExperiment run_detection(const Scenario& scenario,
-                                  std::size_t repetition,
-                                  const cpa::DetectorPolicy& policy) {
-  DetectionExperiment exp;
-  exp.scenario = scenario.run(repetition);
-  const cpa::Detector detector(policy);
-  exp.detection = detector.detect(exp.scenario.acquisition.per_cycle_power_w,
-                                  exp.scenario.pattern);
-  return exp;
-}
-
 cpa::RepeatabilityResult run_repeatability_study(
     const Scenario& scenario, std::size_t repetitions,
     const cpa::DetectorPolicy& policy, runtime::Executor* executor) {

@@ -1,10 +1,10 @@
-// High-level experiment drivers used by the benches and examples: one
-// detection run (Fig. 5 panels) and the 100-repetition study (Fig. 6).
+// The paper's 100-repetition study (Fig. 6), used by the benches. Single
+// detection runs go through detect::Session.
 //
-// Both take the scenario by const reference — Scenario::run is
-// thread-safe — and the repeatability study optionally fans repetitions
-// out over a runtime::Executor. Parallel and serial runs are bit-exact
-// (see runtime/seed.h for the derivation contract).
+// The study takes the scenario by const reference — Scenario::run is
+// thread-safe — and optionally fans repetitions out over a
+// runtime::Executor. Parallel and serial runs are bit-exact (see
+// runtime/seed.h for the derivation contract).
 #pragma once
 
 #include <cstddef>
@@ -15,23 +15,6 @@
 #include "sim/scenario.h"
 
 namespace clockmark::sim {
-
-struct DetectionExperiment {
-  ScenarioResult scenario;
-  cpa::DetectionResult detection;
-};
-
-/// Runs one scenario repetition and the CPA detector on its Y vector.
-///
-/// Deprecated shim: new code should use the detect::Session facade
-/// (detect/session.h), whose Scenario overload produces a bit-identical
-/// decision under the default (triggered) request and additionally
-/// supports desynchronised inputs. Kept because its output shape is
-/// baked into downstream result-parsing; no in-tree example or bench
-/// calls it anymore.
-DetectionExperiment run_detection(const Scenario& scenario,
-                                  std::size_t repetition = 0,
-                                  const cpa::DetectorPolicy& policy = {});
 
 /// Runs the paper's Fig. 6 study: `repetitions` independent runs of the
 /// scenario, box-plotting in-phase vs off-phase correlation. The

@@ -1,5 +1,6 @@
 #include "stream/pipeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -12,26 +13,44 @@ StreamPipeline::StreamPipeline(StreamPipelineConfig config)
 
 StreamReport StreamPipeline::run(TraceSource& source,
                                  std::vector<double> pattern,
-                                 runtime::Executor* executor) const {
+                                 runtime::Executor* executor,
+                                 const runtime::CancelToken& cancel) const {
+  // Built before the producer starts, so a rejected configuration
+  // throws without a thread to unwind.
+  OnlineDetector detector(std::move(pattern), config_.detector);
   StreamReport report;
   BoundedQueue<Chunk> queue(config_.queue_capacity);
   std::atomic<std::size_t> produced{0};
+  const std::size_t budget = config_.max_cycles;
+  std::string failure;  // the source's error; read only after the join
 
   std::thread producer([&] {
     try {
       while (auto chunk = source.next()) {
         produced.fetch_add(1, std::memory_order_relaxed);
-        if (!queue.push(std::move(*chunk))) break;  // consumer stopped
+        // The chunk boundary: nothing that arrives after a cancel, or
+        // lies wholly past the budget, reaches the detector.
+        if (cancel.cancelled()) break;
+        if (budget != 0) {
+          if (chunk->start_cycle >= budget) break;
+          if (chunk->end_cycle() > budget) {
+            chunk->values.resize(budget - chunk->start_cycle);
+          }
+        }
+        const bool last = budget != 0 && chunk->end_cycle() >= budget;
+        // A failed push means the consumer stopped.
+        if (!queue.push(std::move(*chunk)) || last) break;
       }
       queue.close();
     } catch (const std::exception& e) {
-      queue.poison(e.what());
+      failure = e.what();
+      queue.poison(failure);
     } catch (...) {
-      queue.poison("unknown source failure");
+      failure = "unknown source failure";
+      queue.poison(failure);
     }
   });
 
-  OnlineDetector detector(std::move(pattern), config_.detector);
   std::size_t max_chunk_bytes = 0;
   try {
     while (auto chunk = queue.pop()) {
@@ -44,9 +63,8 @@ StreamReport StreamPipeline::run(TraceSource& source,
         break;
       }
     }
-  } catch (const QueuePoisoned& e) {
+  } catch (const QueuePoisoned&) {
     report.source_failed = true;
-    report.error = e.what();
   } catch (...) {
     // Detector failure: stop the producer before rethrowing.
     queue.poison("consumer failed");
@@ -55,7 +73,11 @@ StreamReport StreamPipeline::run(TraceSource& source,
   }
 
   producer.join();
-  report.decision = detector.finalize(executor);
+  if (report.source_failed) report.error = std::move(failure);
+  report.cancelled = cancel.cancelled();
+  report.decision = report.cancelled || report.source_failed
+                        ? detector.decision()
+                        : detector.finalize(executor);
   report.queue = queue.stats();
   report.chunks_produced = produced.load(std::memory_order_relaxed);
   // +1: the chunk in the consumer's hands while the queue sits at its

@@ -7,21 +7,30 @@
 namespace clockmark::stream {
 
 std::vector<Chunk> chop(std::span<const double> y, std::size_t chunk_cycles) {
-  if (chunk_cycles == 0) {
-    throw std::invalid_argument("chop: chunk_cycles must be > 0");
-  }
+  SpanSource source(y, chunk_cycles);
   std::vector<Chunk> chunks;
   chunks.reserve((y.size() + chunk_cycles - 1) / chunk_cycles);
-  for (std::size_t start = 0; start < y.size(); start += chunk_cycles) {
-    const std::size_t len = std::min(chunk_cycles, y.size() - start);
-    Chunk c;
-    c.index = chunks.size();
-    c.start_cycle = start;
-    c.values.assign(y.begin() + static_cast<std::ptrdiff_t>(start),
-                    y.begin() + static_cast<std::ptrdiff_t>(start + len));
-    chunks.push_back(std::move(c));
-  }
+  while (auto chunk = source.next()) chunks.push_back(std::move(*chunk));
   return chunks;
+}
+
+SpanSource::SpanSource(std::span<const double> y, std::size_t chunk_cycles)
+    : y_(y), chunk_cycles_(chunk_cycles) {
+  if (chunk_cycles_ == 0) {
+    throw std::invalid_argument("SpanSource: chunk_cycles must be > 0");
+  }
+}
+
+std::optional<Chunk> SpanSource::next() {
+  if (position_ >= y_.size()) return std::nullopt;
+  const std::span<const double> values =
+      y_.subspan(position_, std::min(chunk_cycles_, y_.size() - position_));
+  Chunk chunk;
+  chunk.index = index_++;
+  chunk.start_cycle = position_;
+  chunk.values.assign(values.begin(), values.end());
+  position_ += values.size();
+  return chunk;
 }
 
 CallbackSource::CallbackSource(std::function<std::optional<Chunk>()> fn,

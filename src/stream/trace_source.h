@@ -9,6 +9,9 @@
 //                   trace_detect example already reads; capture metadata
 //                   (time base, known trigger offset) is exposed so
 //                   detection can pick a SyncPolicy.
+//   SpanSource      chunks a materialised trace (detect::Session's span
+//                   and scenario runs, inline service payloads), copying
+//                   one chunk at a time — never the whole trace.
 //   CallbackSource  wraps a std::function — the test seam, and the hook
 //                   for gluing in an external capture process.
 #pragma once
@@ -42,8 +45,24 @@ class TraceSource {
 };
 
 /// Splits a materialised trace into whole-cycle chunks (tests, and the
-/// batch-vs-streaming comparisons in the bench).
+/// batch-vs-streaming comparisons in the bench): SpanSource, drained.
 std::vector<Chunk> chop(std::span<const double> y, std::size_t chunk_cycles);
+
+class SpanSource : public TraceSource {
+ public:
+  /// The trace must outlive the source. Throws std::invalid_argument
+  /// for chunk_cycles == 0.
+  SpanSource(std::span<const double> y, std::size_t chunk_cycles);
+
+  std::optional<Chunk> next() override;
+  std::size_t total_cycles() const override { return y_.size(); }
+
+ private:
+  std::span<const double> y_;
+  std::size_t chunk_cycles_;
+  std::size_t index_ = 0;
+  std::size_t position_ = 0;
+};
 
 class CallbackSource : public TraceSource {
  public:

@@ -3,6 +3,17 @@
 #include <gtest/gtest.h>
 
 namespace clockmark::cpu {
+
+// Names each case by its fields (e.g. "addimm_r1_r2_r0_imm-2048_al").
+// Without it gtest prints the raw object bytes, whose struct padding is
+// uninitialised, so each run could register the cases under new ctest
+// names. Declared in the type's namespace so gtest finds it by ADL.
+void PrintTo(const Instruction& in, std::ostream* os) {
+  *os << mnemonic(in.opcode) << "_r" << static_cast<int>(in.rd) << "_r"
+      << static_cast<int>(in.rn) << "_r" << static_cast<int>(in.rm)
+      << "_imm" << in.imm << '_' << cond_name(in.cond);
+}
+
 namespace {
 
 class RoundTrip : public ::testing::TestWithParam<Instruction> {};

@@ -1,7 +1,8 @@
-// The detect::Session facade: bit-identity against the deprecated
-// sim::run_detection shim, streamed ≡ batch under every SyncPolicy
-// (including the chunked blind lock), trace-file round trips with the v2
-// capture metadata, and v1 compatibility.
+// The detect::Session facade: bit-identity of its one loop against the
+// batch composition find_sync → warp_trace → cpa::Detector::detect
+// (a test-local oracle) under every SyncPolicy, streamed ≡ batch
+// (including the chunked blind lock), fail-closed sources, trace-file
+// round trips with the v2 capture metadata, and v1 compatibility.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,11 +16,13 @@
 #include <vector>
 
 #include "attack/desync.h"
+#include "cpa/confidence.h"
+#include "cpa/detector.h"
 #include "detect/session.h"
 #include "measure/trace_io.h"
 #include "runtime/executor.h"
-#include "sim/experiment.h"
 #include "stream/trace_source.h"
+#include "sync/search.h"
 #include "sync/warp.h"
 
 namespace {
@@ -51,18 +54,150 @@ void expect_identical(const cpa::DetectionResult& a,
   EXPECT_EQ(a.spectrum.peak_z, b.spectrum.peak_z);
 }
 
+/// The batch decision a Request denotes, composed from the library's
+/// batch primitives: the sync handling applied up front, then one
+/// Detector::detect over the (warped) trace. Session runs every input
+/// through the streaming loop; this is the independent reference it
+/// must match bit for bit.
+detect::Report batch_oracle(const detect::Request& request,
+                            std::span<const double> y,
+                            std::span<const double> pattern) {
+  detect::Report report;
+  report.cycles = y.size();
+  std::vector<double> warped;
+  std::span<const double> input = y;
+  if (request.sync == sync::SyncPolicy::kKnownOffset &&
+      !request.known_warp.is_identity()) {
+    warped = sync::warp_trace(y, request.known_warp);
+    input = warped;
+    sync::SyncEstimate applied;
+    applied.correction = request.known_warp;
+    applied.locked = true;
+    report.sync = applied;
+  } else if (request.sync == sync::SyncPolicy::kBlind) {
+    const sync::SyncEstimate est = sync::find_sync(y, pattern, request.blind);
+    report.sync = est;
+    if (!est.correction.is_identity()) {
+      warped = sync::warp_trace(y, est.correction);
+      input = warped;
+    }
+  }
+  report.detection =
+      cpa::Detector(request.policy).detect(input, pattern, request.method);
+  report.detected = report.detection.detected;
+  report.confidence = cpa::detection_confidence(report.detection.spectrum);
+  return report;
+}
+
 TEST(DetectFacade, ScenarioRunMatchesDeprecatedShimBitExactly) {
+  // The oracle is the deprecated shim's composition, inlined:
+  // Scenario::run + cpa::Detector::detect.
   for (const ChipModel chip : {ChipModel::kChip1, ChipModel::kChip2}) {
     const Scenario sc(fast_config(chip));
-    const auto shim = sim::run_detection(sc, 0);
+    const sim::ScenarioResult shim = sc.run(0);
+    const cpa::DetectionResult oracle = cpa::Detector().detect(
+        shim.acquisition.per_cycle_power_w, shim.pattern);
     const detect::Report report = detect::Session().run(sc, 0);
-    expect_identical(report.detection, shim.detection);
-    EXPECT_EQ(report.detected, shim.detection.detected);
+    expect_identical(report.detection, oracle);
+    EXPECT_EQ(report.detected, oracle.detected);
     ASSERT_TRUE(report.scenario.has_value());
     EXPECT_EQ(report.scenario->acquisition.per_cycle_power_w,
-              shim.scenario.acquisition.per_cycle_power_w);
+              shim.acquisition.per_cycle_power_w);
     EXPECT_FALSE(report.sync.has_value());  // triggered: no correction
   }
+}
+
+TEST(DetectFacade, SpanRunMatchesComposedOracleUnderEverySyncPolicy) {
+  for (const ChipModel chip : {ChipModel::kChip1, ChipModel::kChip2}) {
+    const Scenario sc(fast_config(chip));
+    const auto r = sc.run(0);
+    attack::DesyncAttack a;
+    a.kind = attack::DesyncKind::kFixedOffset;
+    a.offset_cycles = 13.7;
+    const std::vector<double> attacked =
+        attack::apply_desync(r.acquisition.per_cycle_power_w, a);
+
+    for (const sync::SyncPolicy policy :
+         {sync::SyncPolicy::kTriggered, sync::SyncPolicy::kKnownOffset,
+          sync::SyncPolicy::kBlind}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "chip " << static_cast<int>(chip) << ", policy "
+                   << static_cast<int>(policy));
+      detect::Request request;
+      request.sync = policy;
+      request.known_warp.offset_cycles = -a.offset_cycles;
+      const std::vector<double>& y =
+          policy == sync::SyncPolicy::kTriggered
+              ? r.acquisition.per_cycle_power_w
+              : attacked;
+
+      const detect::Report oracle = batch_oracle(request, y, r.pattern);
+      const detect::Report report =
+          detect::Session(request, r.pattern).run(y);
+      expect_identical(report.detection, oracle.detection);
+      EXPECT_EQ(report.detection.reason, oracle.detection.reason);
+      EXPECT_EQ(report.detected, oracle.detected);
+      EXPECT_EQ(report.confidence, oracle.confidence);
+      EXPECT_EQ(report.cycles, oracle.cycles);
+      ASSERT_EQ(report.sync.has_value(), oracle.sync.has_value());
+      if (oracle.sync) {
+        EXPECT_EQ(report.sync->correction.offset_cycles,
+                  oracle.sync->correction.offset_cycles);
+        EXPECT_EQ(report.sync->correction.ratio,
+                  oracle.sync->correction.ratio);
+        EXPECT_EQ(report.sync->correction.drift,
+                  oracle.sync->correction.drift);
+        EXPECT_EQ(report.sync->peak_z, oracle.sync->peak_z);
+        EXPECT_EQ(report.sync->locked, oracle.sync->locked);
+      }
+    }
+  }
+}
+
+TEST(DetectFacade, SpanShorterThanOnePeriodIsNotDetectedWithAReason) {
+  const std::vector<double> pattern = {1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0};
+  const std::vector<double> y(pattern.size() - 1, 1e-3);
+  const detect::Report report = detect::Session({}, pattern).run(y);
+  EXPECT_FALSE(report.detected);
+  EXPECT_NE(report.detection.reason.find("shorter than one pattern period"),
+            std::string::npos)
+      << report.detection.reason;
+  EXPECT_EQ(report.cycles, y.size());
+}
+
+TEST(DetectFacade, NaiveMethodIsRejected) {
+  detect::Request request;
+  request.method = cpa::CorrelationMethod::kNaive;
+  const std::vector<double> pattern = {1.0, 0.0, 1.0, 1.0};
+  const detect::Session session(request, pattern);
+  const std::vector<double> y(64, 1e-3);
+  EXPECT_THROW(session.run(y), std::invalid_argument);
+  stream::SpanSource source(y, 16);
+  EXPECT_THROW(session.run(source), std::invalid_argument);
+}
+
+TEST(DetectFacade, SourceThrowingMidStreamFailsClosed) {
+  const std::vector<double> pattern = {1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0};
+  constexpr std::size_t kGoodChunks = 3;
+  std::size_t calls = 0;
+  stream::CallbackSource source([&]() -> std::optional<stream::Chunk> {
+    if (calls == kGoodChunks) throw std::runtime_error("probe detached");
+    stream::Chunk chunk;
+    chunk.index = calls;
+    chunk.start_cycle = calls * 32;
+    chunk.values.assign(32, 1e-3 * static_cast<double>(calls + 1));
+    ++calls;
+    return chunk;
+  });
+  detect::Request request;
+  request.streaming.early_stop = false;
+  try {
+    detect::Session(request, pattern).run(source);
+    FAIL() << "a failed source must not produce a verdict";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "probe detached");
+  }
+  EXPECT_EQ(calls, kGoodChunks);
 }
 
 TEST(DetectFacade, BatchSpanMatchesScenarioOverload) {

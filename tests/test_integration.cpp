@@ -4,6 +4,7 @@
 // gate-level watermark -> SoC background -> acquisition -> CPA -> verdict.
 #include <gtest/gtest.h>
 
+#include "detect/session.h"
 #include "sim/experiment.h"
 
 namespace clockmark::sim {
@@ -21,7 +22,7 @@ ScenarioConfig fast(ChipModel chip, bool active) {
 
 TEST(EndToEnd, Chip1ActiveWatermarkDetectedAtTruePhase) {
   Scenario sc(fast(ChipModel::kChip1, true));
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_TRUE(exp.detection.detected) << exp.detection.reason;
   // The PDN filter delays the peak by at most a couple of rotations.
   const auto peak = static_cast<long>(exp.detection.spectrum.peak_rotation);
@@ -31,13 +32,13 @@ TEST(EndToEnd, Chip1ActiveWatermarkDetectedAtTruePhase) {
 
 TEST(EndToEnd, Chip1InactiveWatermarkNotDetected) {
   Scenario sc(fast(ChipModel::kChip1, false));
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_FALSE(exp.detection.detected) << exp.detection.reason;
 }
 
 TEST(EndToEnd, Chip2ActiveWatermarkDetected) {
   Scenario sc(fast(ChipModel::kChip2, true));
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_TRUE(exp.detection.detected) << exp.detection.reason;
   const auto peak = static_cast<long>(exp.detection.spectrum.peak_rotation);
   EXPECT_NEAR(static_cast<double>(peak), 2400.0, 2.0);
@@ -45,7 +46,7 @@ TEST(EndToEnd, Chip2ActiveWatermarkDetected) {
 
 TEST(EndToEnd, Chip2InactiveWatermarkNotDetected) {
   Scenario sc(fast(ChipModel::kChip2, false));
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_FALSE(exp.detection.detected) << exp.detection.reason;
 }
 
@@ -69,11 +70,11 @@ TEST(EndToEnd, DetectionSurvivesUnpinnedPhase) {
   cfg.phase_offset.reset();
   Scenario sc(cfg);
   for (std::size_t rep = 0; rep < 3; ++rep) {
-    const auto exp = run_detection(sc, rep);
+    const auto exp = detect::Session().run(sc, rep);
     EXPECT_TRUE(exp.detection.detected) << "rep " << rep;
     const long peak =
         static_cast<long>(exp.detection.spectrum.peak_rotation);
-    const long truth = static_cast<long>(exp.scenario.true_rotation);
+    const long truth = static_cast<long>(exp.scenario->true_rotation);
     const long period = 4095;
     const long dist = std::min((peak - truth + period) % period,
                                (truth - peak + period) % period);
@@ -89,7 +90,7 @@ TEST(EndToEnd, WorkloadDoesNotMaskWatermark) {
   mix.seed = 5;
   cfg.program = cpu::generate_workload_source(mix);
   Scenario sc(cfg);
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_TRUE(exp.detection.detected) << exp.detection.reason;
 }
 
@@ -100,7 +101,7 @@ TEST(EndToEnd, SmallerWatermarkBlockStillDetectedCloseUp) {
   cfg.watermark.words = 8;
   cfg.trace_cycles = 60000;  // quarter amplitude needs more cycles
   Scenario sc(cfg);
-  const auto exp = run_detection(sc, 0);
+  const auto exp = detect::Session().run(sc, 0);
   EXPECT_TRUE(exp.detection.detected) << exp.detection.reason;
 }
 

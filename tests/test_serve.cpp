@@ -448,7 +448,8 @@ TEST(ServeService, CancelRunningJobStopsAtNextChunkBoundary) {
   };
 
   const serve::JobTicket ticket = service.submit(std::move(spec));
-  // The worker ingested chunk 0 and is parked inside next() for chunk 1.
+  // The job's producer thread handed out chunk 0 and is parked inside
+  // next() for chunk 1.
   source->gate_reached().wait();
   EXPECT_TRUE(service.cancel(ticket.id));
   source->release();
@@ -514,7 +515,7 @@ TEST(ServeService, MaxCyclesBudgetDecidesOnThePrefix) {
   serve::JobSpec spec;
   spec.pattern = r.pattern;
   spec.trace = r.acquisition.per_cycle_power_w;
-  spec.max_cycles = budget;
+  spec.request.streaming.max_cycles = budget;
   const serve::JobResult result = service.submit(spec).result.get();
   ASSERT_EQ(result.status, serve::JobStatus::kDone) << result.error;
   EXPECT_EQ(result.report.cycles, budget);
@@ -526,6 +527,29 @@ TEST(ServeService, MaxCyclesBudgetDecidesOnThePrefix) {
   const detect::Report expected =
       detect::Session({}, r.pattern).run(prefix);
   expect_identical(result.report.detection, expected.detection);
+}
+
+TEST(ServeService, SourceThrowingMidStreamFailsTheJob) {
+  serve::DetectionService service;
+  serve::JobSpec spec;
+  spec.pattern = square_pattern();
+  spec.source_fn = []() -> std::unique_ptr<stream::TraceSource> {
+    auto calls = std::make_shared<std::size_t>(0);
+    return std::make_unique<stream::CallbackSource>(
+        [calls]() -> std::optional<stream::Chunk> {
+          if (*calls == 2) throw std::runtime_error("probe detached");
+          stream::Chunk chunk;
+          chunk.index = *calls;
+          chunk.start_cycle = *calls * 256;
+          chunk.values.assign(256, 1e-3);
+          ++*calls;
+          return chunk;
+        });
+  };
+  const serve::JobResult result = service.submit(spec).result.get();
+  EXPECT_EQ(result.status, serve::JobStatus::kFailed);
+  EXPECT_EQ(result.error, "probe detached");
+  EXPECT_EQ(service.stats().failed, 1u);
 }
 
 TEST(ServeService, BackpressureRejectsWhenConfiguredAndQueueFull) {
@@ -636,7 +660,7 @@ serve::JobSpec wire_spec() {
   spec.tenant = "acme";
   spec.priority = serve::JobPriority::kHigh;
   spec.mode = serve::JobMode::kStream;
-  spec.max_cycles = 123456;
+  spec.request.streaming.max_cycles = 123456;
   spec.pattern = {1.0, -1.0, 0.5, -0.25};
   spec.request.sync = sync::SyncPolicy::kBlind;
   spec.request.method = cpa::CorrelationMethod::kFft;
@@ -659,7 +683,8 @@ TEST(ServeProtocol, SubmitRoundTripPreservesEveryField) {
   EXPECT_EQ(back.tenant, spec.tenant);
   EXPECT_EQ(back.priority, spec.priority);
   EXPECT_EQ(back.mode, spec.mode);
-  EXPECT_EQ(back.max_cycles, spec.max_cycles);
+  EXPECT_EQ(back.request.streaming.max_cycles,
+            spec.request.streaming.max_cycles);
   EXPECT_EQ(back.pattern, spec.pattern);
   EXPECT_EQ(back.request.sync, spec.request.sync);
   EXPECT_EQ(back.request.method, spec.request.method);
