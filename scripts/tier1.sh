@@ -3,7 +3,7 @@
 # gate, then sanitizer passes — ThreadSanitizer over the concurrency-
 # sensitive binaries (the cm_runtime primitives and the sim/experiment
 # drivers that fan repetitions out over them) and UBSan over the
-# arithmetic-heavy sequence/dsp/cpa tests.
+# arithmetic-heavy sequence/dsp/cpa tests and the serve wire codec.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -194,15 +194,16 @@ cmake --build build-tsan -j --target test_runtime test_dsp test_integration \
 (cd build-tsan && ctest --output-on-failure -j"$(nproc)" \
   -R '^(ThreadPool|Executor|SeedDerive|ParallelCorrelation|ParallelStudy|Scenario|ScenarioMemo|FftPlan|EndToEnd|BoundedQueue|OnlineDetector|StreamPipeline|TraceIo|RotationAccumulator|ChipsAndThreads|Warp|BlindSync|Chips/BlindSyncChips|SyncEngine|Chips/SyncEngineChips|SyncEngineTable|RotationAccumulatorOracle|Chips/RotationAccumulatorOracle|DetectFacade|DetectFile|EngineCacheLru|ServeQueue|ServeBroker|ServeService|ServeProtocol|ServeLocalClient|ServeHost|BatchAcquireScenario|BatchAcquireSpectrumEngine|BatchAcquireStudy)')
 
-echo "=== tier-1: UBSan pass (sequence + dsp + cpa tests) ==="
+echo "=== tier-1: UBSan pass (sequence + dsp + cpa + socdesc + serve tests) ==="
 # -fno-sanitize-recover=all: any triggered check aborts the binary, so a
 # plain run is the gate — no log scraping.
 cmake -B build-ubsan -S . -DCLOCKMARK_SANITIZE=undefined
 cmake --build build-ubsan -j --target test_sequence test_dsp test_cpa \
-  test_socdesc
+  test_socdesc test_serve
 ./build-ubsan/tests/test_sequence
 ./build-ubsan/tests/test_dsp
 ./build-ubsan/tests/test_cpa
 ./build-ubsan/tests/test_socdesc
+./build-ubsan/tests/test_serve
 
 echo "=== tier-1: OK ==="

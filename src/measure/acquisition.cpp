@@ -19,22 +19,8 @@ AcquisitionChain::AcquisitionChain(const AcquisitionConfig& config)
 }
 
 Acquisition AcquisitionChain::measure(const power::PowerTrace& device_power) {
-  AcquisitionKernel kernel(config_, device_power.clock_hz());
-  const auto cycles = device_power.span();
-  if (kernel.needs_range_pass()) {
-    kernel.range_feed(cycles);
-    kernel.fix_range();
-  }
-  if (kernel.needs_trigger_pass()) {
-    kernel.trigger_feed(cycles);
-    kernel.fix_trigger();
-  }
-  Acquisition result;
-  kernel.acquire_feed(cycles, result.per_cycle_power_w);
-  const auto s = kernel.summary();
-  result.mean_power_w = s.mean_power_w;
-  result.lsb_power_w = s.lsb_power_w;
-  return result;
+  return AcquisitionKernel(config_, device_power.clock_hz())
+      .acquire(device_power.span());
 }
 
 Acquisition AcquisitionChain::acquire_reference(

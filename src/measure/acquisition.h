@@ -78,10 +78,10 @@ class AcquisitionChain {
 
   /// Measures a device power trace: expands to a sample-rate current
   /// waveform, runs the analog chain + ADC, block-averages back to one
-  /// power value per clock cycle. Always routed through the fused
-  /// measure::AcquisitionKernel (see kernel.h), including the
-  /// trigger-offset studies (TriggerSim != kAligned), which add a
-  /// trigger pass between the range and acquire passes.
+  /// power value per clock cycle. One call to the fused
+  /// measure::AcquisitionKernel::acquire (see kernel.h), which drives
+  /// the range, trigger (TriggerSim != kAligned only) and acquire
+  /// passes.
   Acquisition measure(const power::PowerTrace& device_power);
 
   /// The original materialise-then-filter-then-quantise pipeline, kept

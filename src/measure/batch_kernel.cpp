@@ -3,24 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
+#include <utility>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #endif
 
 #include "dsp/filter.h"
+#include "measure/chain_internal.h"
 #include "measure/kernel.h"
-#include "util/rng.h"
 
 namespace clockmark::measure {
 
 namespace {
-
-/// Same block sizing target as AcquisitionKernel: ~4096 samples keeps
-/// one lane's scratch walks L1/L2-resident; with K interleaved lanes the
-/// working set is K blocks plus the cache stripe, still L2-sized.
-constexpr std::size_t kBlockSamplesTarget = 4096;
 
 /// SoA lane width: four doubles fill one AVX2 register, and four
 /// independent IIR chains cover the FMA latency on the scalar path too.
@@ -46,14 +41,13 @@ GroupArena& group_arena() {
 
 /// Per-lane analog state threaded through the blocks of one group.
 struct LaneState {
-  util::Pcg32 probe_rng{0, 0};  ///< range-pass probe stream (fork 1)
-  util::Pcg32 scope_rng{0, 0};  ///< acquire-pass scope stream (fork 2)
+  /// Probe stream (range pass) and scope stream (acquire pass).
+  detail::NoiseStreams noise;
   double pdn_y = 0.0;
   double probe_y = 0.0;
   double volts_min = std::numeric_limits<double>::infinity();
   double volts_max = -std::numeric_limits<double>::infinity();
-  double offset_v = 0.0;      ///< fixed scope offset after the range pass
-  double full_scale_v = 0.0;  ///< fixed scope range after the range pass
+  OscilloscopeConfig scope;  ///< the lane's scope, range fixed by pass 1
   double lsb_v = 0.0;
   double sum_power_w = 0.0;
 };
@@ -63,38 +57,11 @@ struct LaneState {
 BatchAcquisitionKernel::BatchAcquisitionKernel(
     const AcquisitionConfig& config, double clock_hz)
     : config_(config), clock_hz_(clock_hz) {
-  if (config_.probe.sample_rate_hz != config_.scope.sample_rate_hz) {
-    throw std::invalid_argument(
-        "BatchAcquisitionKernel: probe/scope sample rates must match");
-  }
-  if (clock_hz_ <= 0.0) {
-    throw std::invalid_argument(
-        "BatchAcquisitionKernel: clock_hz must be > 0");
-  }
-  if (config_.scope.resolution_bits < 2 ||
-      config_.scope.resolution_bits > 16) {
-    throw std::invalid_argument(
-        "BatchAcquisitionKernel: resolution must be 2..16 bit");
-  }
-  if (config_.scope.full_scale_v <= 0.0) {
-    throw std::invalid_argument(
-        "BatchAcquisitionKernel: full scale must be > 0");
-  }
-  template_ = power::cycle_pulse_template(config_.waveform);  // throws on spc=0
-
-  const std::size_t spc = config_.waveform.samples_per_cycle;
-  block_cycles_ = config_.block_cycles > 0
-                      ? config_.block_cycles
-                      : std::max<std::size_t>(8, kBlockSamplesTarget / spc);
-}
-
-bool BatchAcquisitionKernel::supports(
-    const AcquisitionConfig& config) noexcept {
-  // Trigger-offset capture re-aligns mid-cycle windows (a per-lane
-  // stream cursor) and a disabled PDN filter changes the recurrence
-  // shape; both are rare study configurations, served per lane.
-  return config.trigger_sim == TriggerSim::kAligned &&
-         config.enable_pdn_filter;
+  detail::ChainSetup setup =
+      detail::make_chain_setup(config_, clock_hz, "BatchAcquisitionKernel");
+  template_ = std::move(setup.pulse);
+  block_cycles_ = setup.block_cycles;
+  sample_rate_hz_ = setup.sample_rate_hz;
 }
 
 std::size_t BatchAcquisitionKernel::group_width(
@@ -112,9 +79,13 @@ std::vector<Acquisition> BatchAcquisitionKernel::run(
   std::vector<Acquisition> out(lanes.size());
   if (lanes.empty()) return out;
 
-  bool batched = supports(config_);
+  // Trigger-offset capture re-aligns mid-cycle windows (a per-lane
+  // stream cursor) and a disabled PDN filter changes the recurrence
+  // shape; both are rare study configurations, served per lane, as are
+  // unequal lanes and (group_width 0) empty or over-budget ones.
+  bool batched = config_.trigger_sim == TriggerSim::kAligned &&
+                 config_.enable_pdn_filter;
   const std::size_t cycles = lanes[0].cycle_power_w.size();
-  if (cycles == 0) batched = false;
   for (const BatchLane& lane : lanes) {
     if (lane.cycle_power_w.size() != cycles) {
       batched = false;
@@ -123,8 +94,12 @@ std::vector<Acquisition> BatchAcquisitionKernel::run(
   }
   const std::size_t width = batched ? group_width(cycles) : 0;
   if (width == 0) {
+    // Per-lane fallback: the single-trace kernel with the lane's seed.
+    AcquisitionConfig cfg = config_;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-      run_fallback_lane(lanes[i], out[i]);
+      cfg.noise_seed = lanes[i].noise_seed;
+      out[i] =
+          AcquisitionKernel(cfg, clock_hz_).acquire(lanes[i].cycle_power_w);
     }
     return out;
   }
@@ -136,25 +111,6 @@ std::vector<Acquisition> BatchAcquisitionKernel::run(
   return out;
 }
 
-void BatchAcquisitionKernel::run_fallback_lane(const BatchLane& lane,
-                                               Acquisition& out) const {
-  AcquisitionConfig cfg = config_;
-  cfg.noise_seed = lane.noise_seed;
-  AcquisitionKernel kernel(cfg, clock_hz_);
-  if (kernel.needs_range_pass()) {
-    kernel.range_feed(lane.cycle_power_w);
-    kernel.fix_range();
-  }
-  if (kernel.needs_trigger_pass()) {
-    kernel.trigger_feed(lane.cycle_power_w);
-    kernel.fix_trigger();
-  }
-  kernel.acquire_feed(lane.cycle_power_w, out.per_cycle_power_w);
-  const AcquisitionKernel::Summary s = kernel.summary();
-  out.mean_power_w = s.mean_power_w;
-  out.lsb_power_w = s.lsb_power_w;
-}
-
 // The group engine. Two passes over the trace, K lanes interleaved:
 //
 //   pass 1 (range): expand -> PDN -> shunt -> probe (+noise), tracking
@@ -163,7 +119,7 @@ void BatchAcquisitionKernel::run_fallback_lane(const BatchLane& lane,
 //     acquire pass's pre-scope-noise input — both passes fork the probe
 //     RNG from the same base with the same salt — so it is cached, not
 //     recomputed.
-//   fix_range: per lane, the scalar kernel's auto_range arithmetic.
+//   fix_range: per lane, the scalar kernel's auto-range rule.
 //   pass 2 (acquire): scope noise + clip + quantise + reconstruct over
 //     the cached stream, fused with the per-cycle averaging.
 //
@@ -184,12 +140,11 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
   const double gain = config_.probe.gain;
   const double probe_noise = config_.probe.noise_v_rms;
   const double scope_noise = config_.scope.noise_v_rms;
-  const double fs = clock_hz_ * spc_d;
   const double* tpl = template_.data();
 
   // Filter coefficients are lane-invariant (pure functions of config).
   const double pdn_alpha =
-      dsp::OnePoleLowPass(config_.pdn_cutoff_hz, fs).alpha();
+      dsp::OnePoleLowPass(config_.pdn_cutoff_hz, sample_rate_hz_).alpha();
   const double probe_alpha =
       dsp::OnePoleLowPass(config_.probe.bandwidth_hz,
                           config_.probe.sample_rate_hz)
@@ -197,29 +152,11 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
 
   std::vector<LaneState> st(lg);
   for (std::size_t k = 0; k < lg; ++k) {
-    // Per-lane streams: fresh base + forks, exactly AcquisitionKernel's
-    // Pass construction (fork reads the base state without advancing
-    // it, so fork(2) here equals the acquire pass's fork(2)).
-    util::Pcg32 base(lanes[k].noise_seed, 0x0b5e7fa11ULL);
-    st[k].probe_rng = base.fork(1);
-    st[k].scope_rng = base.fork(2);
-    // PDN priming: DC of the first min(stream, 8 cycles) samples, the
-    // exact prime_pdn accumulation (aligned capture, offset 0).
-    const std::span<const double> power = lanes[k].cycle_power_w;
-    const std::size_t settle = std::min(cycles * spc, spc * 8);
-    double dc = 0.0;
-    std::size_t tpl_i = 0;
-    std::size_t cyc = 0;
-    double scale = power[0] / vdd * spc_d;
-    for (std::size_t i = 0; i < settle; ++i) {
-      dc += scale * tpl[tpl_i];
-      if (++tpl_i == spc) {
-        tpl_i = 0;
-        ++cyc;
-        if (i + 1 < settle) scale = power[cyc] / vdd * spc_d;
-      }
-    }
-    st[k].pdn_y = dc / static_cast<double>(settle);
+    // Per-lane streams and PDN priming exactly as AcquisitionKernel's
+    // acquire pass sets them up (aligned capture, offset 0).
+    st[k].noise = detail::fork_noise(lanes[k].noise_seed);
+    st[k].pdn_y =
+        detail::pdn_priming(lanes[k].cycle_power_w, template_, vdd, 0).dc_a;
     out[k].per_cycle_power_w.reserve(cycles);
   }
 
@@ -242,7 +179,7 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
     const std::size_t bc = std::min(block_cycles_, cycles - start);
     const std::size_t sc = bc * spc;
     for (std::size_t k = 0; k < lg; ++k) {
-      st[k].probe_rng.fill_gaussian(
+      st[k].noise.probe.fill_gaussian(
           std::span<double>(noise + k * sc, sc), 0.0, probe_noise);
     }
     double* dst = wcache + start * spc * lg;
@@ -339,21 +276,13 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
     }
   }
 
-  // ---- fix_range: per lane, the kernel's auto_range arithmetic -------
-  const bool auto_range = config_.range_policy == RangePolicy::kAutoRange;
-  const double codes =
-      static_cast<double>(1u << config_.scope.resolution_bits);
+  // ---- fix_range: per lane, the kernel's auto-range rule ------------
   for (std::size_t k = 0; k < lg; ++k) {
-    if (auto_range) {
-      const double span =
-          std::max(st[k].volts_max - st[k].volts_min, 1e-9);
-      st[k].offset_v = (st[k].volts_max + st[k].volts_min) / 2.0;
-      st[k].full_scale_v = span / 0.8;
-    } else {
-      st[k].offset_v = config_.scope.offset_v;
-      st[k].full_scale_v = config_.scope.full_scale_v;
+    st[k].scope = config_.scope;
+    if (config_.range_policy == RangePolicy::kAutoRange) {
+      detail::auto_range(st[k].scope, st[k].volts_min, st[k].volts_max);
     }
-    st[k].lsb_v = st[k].full_scale_v / codes;
+    st[k].lsb_v = detail::lsb_volts(st[k].scope);
   }
 
   // ---- Pass 2: scope noise + quantise + per-cycle average ------------
@@ -363,7 +292,7 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
     const std::size_t bc = std::min(block_cycles_, cycles - start);
     const std::size_t sc = bc * spc;
     for (std::size_t k = 0; k < lg; ++k) {
-      st[k].scope_rng.fill_gaussian(
+      st[k].noise.scope.fill_gaussian(
           std::span<double>(noise + k * sc, sc), 0.0, scope_noise);
     }
     const double* src = wcache + start * spc * lg;
@@ -372,10 +301,11 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
       const __m256d lsbv = _mm256_setr_pd(st[0].lsb_v, st[1].lsb_v,
                                           st[2].lsb_v, st[3].lsb_v);
       const __m256d half = _mm256_setr_pd(
-          st[0].full_scale_v / 2.0, st[1].full_scale_v / 2.0,
-          st[2].full_scale_v / 2.0, st[3].full_scale_v / 2.0);
-      const __m256d offv = _mm256_setr_pd(st[0].offset_v, st[1].offset_v,
-                                          st[2].offset_v, st[3].offset_v);
+          st[0].scope.full_scale_v / 2.0, st[1].scope.full_scale_v / 2.0,
+          st[2].scope.full_scale_v / 2.0, st[3].scope.full_scale_v / 2.0);
+      const __m256d offv =
+          _mm256_setr_pd(st[0].scope.offset_v, st[1].scope.offset_v,
+                         st[2].scope.offset_v, st[3].scope.offset_v);
       const __m256d vzero = _mm256_setzero_pd();
       const __m256d nhalf = _mm256_sub_pd(vzero, half);
       const __m256d himax = _mm256_sub_pd(half, lsbv);
@@ -421,8 +351,8 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
     double offv[kLaneWidth];
     for (std::size_t k = 0; k < lg; ++k) {
       lsb[k] = st[k].lsb_v;
-      half[k] = st[k].full_scale_v / 2.0;
-      offv[k] = st[k].offset_v;
+      half[k] = st[k].scope.full_scale_v / 2.0;
+      offv[k] = st[k].scope.offset_v;
     }
     std::size_t j = 0;
     for (std::size_t c = 0; c < bc; ++c) {
@@ -449,7 +379,7 @@ void BatchAcquisitionKernel::run_group(std::span<const BatchLane> lanes,
   for (std::size_t k = 0; k < lg; ++k) {
     out[k].mean_power_w =
         st[k].sum_power_w / static_cast<double>(cycles);
-    out[k].lsb_power_w = st[k].lsb_v / r_shunt / gain * vdd;
+    out[k].lsb_power_w = detail::lsb_power_w(config_, st[k].lsb_v);
   }
 }
 

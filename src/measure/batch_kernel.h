@@ -17,9 +17,12 @@
 // tests/test_sim_batch.cpp): for every lane, run() returns exactly what
 // AcquisitionChain::measure returns for a PowerTrace of that lane's
 // cycle power and an AcquisitionConfig whose noise_seed is the lane's
-// seed. The guarantees stack like this:
+// seed. Validation, block sizing, the noise-stream forks, PDN priming,
+// the auto-range rule and the LSB formula are the single-trace kernel's
+// own (measure/chain_internal.h); only the lane loops are this file's.
+// The guarantees stack like this:
 //  * RNG streams: each lane forks probe/scope streams from its own
-//    seed exactly as AcquisitionKernel::Pass does, and fill_gaussian
+//    seed exactly as AcquisitionKernel's passes do, and fill_gaussian
 //    over a block decomposition draws the identical sequence, so the
 //    per-sample noise values match the per-rep path bit for bit.
 //  * Filtering: the PDN/probe recurrences use one std::fma per step —
@@ -38,9 +41,10 @@
 //    independent of both (and of how lanes are grouped).
 //
 // Configurations the fused path does not model (trigger-offset capture,
-// disabled PDN filter) and degenerate shapes (empty/unequal lanes) run
-// each lane through the per-rep AcquisitionKernel instead — run() is
-// correct for every AcquisitionConfig, just not always batched.
+// disabled PDN filter), degenerate shapes (empty or unequal lanes) and
+// lanes too long for the cache budget run each lane through
+// AcquisitionKernel::acquire instead — run() is correct for every
+// AcquisitionConfig, just not always batched.
 #pragma once
 
 #include <cstddef>
@@ -66,11 +70,6 @@ class BatchAcquisitionKernel {
   /// `clock_hz` is the chip clock of the incoming per-cycle traces.
   BatchAcquisitionKernel(const AcquisitionConfig& config, double clock_hz);
 
-  /// True when `config` takes the fused SoA path; false means run()
-  /// falls back to one AcquisitionKernel per lane (still bit-identical,
-  /// just without the batching win).
-  static bool supports(const AcquisitionConfig& config) noexcept;
-
   /// Acquires every lane; out[i] corresponds to lanes[i]. Thread-safe:
   /// const, all mutable state is local to the call.
   std::vector<Acquisition> run(std::span<const BatchLane> lanes) const;
@@ -95,11 +94,11 @@ class BatchAcquisitionKernel {
   std::size_t group_width(std::size_t trace_cycles) const noexcept;
   void run_group(std::span<const BatchLane> lanes,
                  std::span<Acquisition> out) const;
-  void run_fallback_lane(const BatchLane& lane, Acquisition& out) const;
 
   AcquisitionConfig config_;
   double clock_hz_;
-  std::size_t block_cycles_;
+  double sample_rate_hz_ = 0.0;
+  std::size_t block_cycles_ = 0;
   std::vector<double> template_;  ///< per-cycle pulse template (sums to 1)
   std::size_t cache_budget_bytes_ = std::size_t{1} << 30;
 };

@@ -5,16 +5,12 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
+#include "measure/chain_internal.h"
 #include "util/rng.h"
 
 namespace clockmark::measure {
-
-namespace {
-/// Block sizing target: a block of ~4096 samples keeps the five scratch
-/// walks (synthesize, noise, filter, quantise, average) inside L1/L2.
-constexpr std::size_t kBlockSamplesTarget = 4096;
-}  // namespace
 
 // One pass's analog chain state. The waveform expansion is per-cycle
 // pure, but the PDN low-pass, the probe filter and the two noise streams
@@ -28,18 +24,13 @@ constexpr std::size_t kBlockSamplesTarget = 4096;
 struct AcquisitionKernel::Pass {
   Pass(const AcquisitionConfig& config, double fs)
       : probe_filter(config.probe.bandwidth_hz, config.probe.sample_rate_hz),
-        probe_rng(0, 0),
-        scope_rng(0, 0) {
+        noise(detail::fork_noise(config.noise_seed)) {
     if (config.enable_pdn_filter) pdn.emplace(config.pdn_cutoff_hz, fs);
-    util::Pcg32 base(config.noise_seed, 0x0b5e7fa11ULL);
-    probe_rng = base.fork(1);
-    scope_rng = base.fork(2);
   }
 
   std::optional<dsp::OnePoleLowPass> pdn;
   dsp::OnePoleLowPass probe_filter;
-  util::Pcg32 probe_rng;
-  util::Pcg32 scope_rng;
+  detail::NoiseStreams noise;
   bool primed = false;
   std::size_t prime_samples = 0;  ///< samples the DC priming averaged
 
@@ -52,29 +43,14 @@ struct AcquisitionKernel::Pass {
 
 AcquisitionKernel::AcquisitionKernel(const AcquisitionConfig& config,
                                      double clock_hz)
-    : config_(config), clock_hz_(clock_hz) {
-  if (config_.probe.sample_rate_hz != config_.scope.sample_rate_hz) {
-    throw std::invalid_argument(
-        "AcquisitionKernel: probe/scope sample rates must match");
-  }
-  if (clock_hz_ <= 0.0) {
-    throw std::invalid_argument("AcquisitionKernel: clock_hz must be > 0");
-  }
-  // Same front-door validation the reference path's Oscilloscope
-  // constructor performs before any range decision.
-  if (config_.scope.resolution_bits < 2 || config_.scope.resolution_bits > 16) {
-    throw std::invalid_argument(
-        "AcquisitionKernel: resolution must be 2..16 bit");
-  }
-  if (config_.scope.full_scale_v <= 0.0) {
-    throw std::invalid_argument("AcquisitionKernel: full scale must be > 0");
-  }
-  template_ = power::cycle_pulse_template(config_.waveform);  // throws on spc=0
+    : config_(config) {
+  detail::ChainSetup setup =
+      detail::make_chain_setup(config_, clock_hz, "AcquisitionKernel");
+  template_ = std::move(setup.pulse);
+  block_cycles_ = setup.block_cycles;
+  sample_rate_hz_ = setup.sample_rate_hz;
 
   const std::size_t spc = config_.waveform.samples_per_cycle;
-  block_cycles_ = config_.block_cycles > 0
-                      ? config_.block_cycles
-                      : std::max<std::size_t>(8, kBlockSamplesTarget / spc);
   wave_.resize(block_cycles_ * spc);
   noise_.resize(block_cycles_ * spc);
 
@@ -105,10 +81,9 @@ bool AcquisitionKernel::needs_trigger_pass() const noexcept {
 
 void AcquisitionKernel::prime_pdn(Pass& pass,
                                   std::span<const double> cycle_power_w) {
-  const std::size_t spc = config_.waveform.samples_per_cycle;
   if (!pass.pdn || cycle_power_w.empty()) return;
   if (pass.primed) {
-    if (pass.prime_samples < spc * 8) {
+    if (pass.prime_samples < config_.waveform.samples_per_cycle * 8) {
       throw std::invalid_argument(
           "AcquisitionKernel: first chunk must span at least 8 cycles "
           "(9 with a trigger offset) — the PDN priming window");
@@ -116,30 +91,12 @@ void AcquisitionKernel::prime_pdn(Pass& pass,
     return;
   }
   // The reference path primes the filter with the DC level of the first
-  // min(stream, 8 cycles) samples of the (possibly offset) sample
-  // stream. Accumulate the synthesized samples in the exact order the
-  // reference sums them — no buffer needed, the expansion is recomputed
-  // per sample.
-  const std::size_t chunk_samples = cycle_power_w.size() * spc - offset_;
-  const std::size_t settle = std::min(chunk_samples, spc * 8);
-  double dc = 0.0;
-  std::size_t tpl_i = offset_;
-  std::size_t cyc = 0;
-  double scale = cycle_power_w[0] / config_.vdd_v * static_cast<double>(spc);
-  for (std::size_t i = 0; i < settle; ++i) {
-    dc += scale * template_[tpl_i];
-    if (++tpl_i == spc) {
-      tpl_i = 0;
-      ++cyc;
-      if (i + 1 < settle) {
-        scale = cycle_power_w[cyc] / config_.vdd_v *
-                static_cast<double>(spc);
-      }
-    }
-  }
-  pass.pdn->reset(dc / static_cast<double>(settle));
+  // min(stream, 8 cycles) samples of the (possibly offset) sample stream.
+  const detail::PdnPriming priming =
+      detail::pdn_priming(cycle_power_w, template_, config_.vdd_v, offset_);
+  pass.pdn->reset(priming.dc_a);
   pass.primed = true;
-  pass.prime_samples = settle;
+  pass.prime_samples = priming.samples;
 }
 
 void AcquisitionKernel::run_pass(Pass& pass,
@@ -153,9 +110,7 @@ void AcquisitionKernel::run_pass(Pass& pass,
   const double probe_noise = config_.probe.noise_v_rms;
 
   // ADC grid (acquire/trigger passes; config_.scope holds the range).
-  const double lsb =
-      config_.scope.full_scale_v /
-      static_cast<double>(1u << config_.scope.resolution_bits);
+  const double lsb = detail::lsb_volts(config_.scope);
   const double half_scale = config_.scope.full_scale_v / 2.0;
   const double offset_v = config_.scope.offset_v;
   const double scope_noise = config_.scope.noise_v_rms;
@@ -229,8 +184,8 @@ void AcquisitionKernel::run_pass(Pass& pass,
     //    batched noise, fused. The noise block is drawn up front — same
     //    stream, same order as the per-sample reference — so the serial
     //    loop carries only the filter states.
-    pass.probe_rng.fill_gaussian(std::span<double>(noise, sc), 0.0,
-                                 probe_noise);
+    pass.noise.probe.fill_gaussian(std::span<double>(noise, sc), 0.0,
+                                   probe_noise);
 
     if (kind == PassKind::kRange) {
       // Range pass: accumulate the exact min/max the reference scope's
@@ -287,8 +242,8 @@ void AcquisitionKernel::run_pass(Pass& pass,
     //    reconstruct. All in the double domain so the loop vectorizes:
     //    the code values are small integers, for which floor/clamp on
     //    doubles is bit-identical to the reference's long round-trip.
-    pass.scope_rng.fill_gaussian(std::span<double>(noise, sc), 0.0,
-                                 scope_noise);
+    pass.noise.scope.fill_gaussian(std::span<double>(noise, sc), 0.0,
+                                   scope_noise);
     for (std::size_t j = 0; j < sc; ++j) {
       const double noisy = wave[j] + noise[j] - offset_v;
       const double clipped =
@@ -364,22 +319,16 @@ void AcquisitionKernel::range_feed(std::span<const double> cycle_power_w) {
     throw std::logic_error("AcquisitionKernel: range already fixed");
   }
   if (!range_pass_) {
-    range_pass_ = std::make_unique<Pass>(
-        config_, clock_hz_ * static_cast<double>(
-                                 config_.waveform.samples_per_cycle));
+    range_pass_ = std::make_unique<Pass>(config_, sample_rate_hz_);
   }
   run_pass(*range_pass_, cycle_power_w, PassKind::kRange, nullptr);
 }
 
 void AcquisitionKernel::fix_range() {
   if (range_fixed_) return;
-  // Same arithmetic as Oscilloscope::auto_range over the full waveform —
-  // the chunk-wise min/max is exact, so the chosen range is identical.
-  if (volts_seen_) {
-    const double span = std::max(volts_max_ - volts_min_, 1e-9);
-    config_.scope.offset_v = (volts_max_ + volts_min_) / 2.0;
-    config_.scope.full_scale_v = span / 0.8;
-  }
+  // Oscilloscope::auto_range over the full waveform — the chunk-wise
+  // min/max is exact, so the chosen range is identical.
+  if (volts_seen_) detail::auto_range(config_.scope, volts_min_, volts_max_);
   range_fixed_ = true;
   range_pass_.reset();  // the acquire pass re-creates the analog chain
 }
@@ -399,9 +348,7 @@ void AcquisitionKernel::trigger_feed(std::span<const double> cycle_power_w) {
         "edge fold runs on the digitised stream)");
   }
   if (!trigger_pass_) {
-    trigger_pass_ = std::make_unique<Pass>(
-        config_, clock_hz_ * static_cast<double>(
-                                 config_.waveform.samples_per_cycle));
+    trigger_pass_ = std::make_unique<Pass>(config_, sample_rate_hz_);
   }
   run_pass(*trigger_pass_, cycle_power_w, PassKind::kTrigger, nullptr);
 }
@@ -438,9 +385,7 @@ void AcquisitionKernel::acquire_feed(std::span<const double> cycle_power_w,
         "fix_trigger) before acquiring");
   }
   if (!acquire_pass_) {
-    acquire_pass_ = std::make_unique<Pass>(
-        config_, clock_hz_ * static_cast<double>(
-                                 config_.waveform.samples_per_cycle));
+    acquire_pass_ = std::make_unique<Pass>(config_, sample_rate_hz_);
   }
   y_out.reserve(y_out.size() + cycle_power_w.size());
   run_pass(*acquire_pass_, cycle_power_w, PassKind::kAcquire, &y_out);
@@ -452,12 +397,27 @@ AcquisitionKernel::Summary AcquisitionKernel::summary() const {
   s.mean_power_w =
       cycles_out_ > 0 ? sum_power_w_ / static_cast<double>(cycles_out_)
                       : 0.0;
-  const double lsb_v =
-      config_.scope.full_scale_v /
-      static_cast<double>(1u << config_.scope.resolution_bits);
-  s.lsb_power_w = lsb_v / config_.shunt.resistance_ohm() /
-                  config_.probe.gain * config_.vdd_v;
+  s.lsb_power_w =
+      detail::lsb_power_w(config_, detail::lsb_volts(config_.scope));
   return s;
+}
+
+Acquisition AcquisitionKernel::acquire(
+    std::span<const double> cycle_power_w) {
+  if (needs_range_pass()) {
+    range_feed(cycle_power_w);
+    fix_range();
+  }
+  if (needs_trigger_pass()) {
+    trigger_feed(cycle_power_w);
+    fix_trigger();
+  }
+  Acquisition out;
+  acquire_feed(cycle_power_w, out.per_cycle_power_w);
+  const Summary s = summary();
+  out.mean_power_w = s.mean_power_w;
+  out.lsb_power_w = s.lsb_power_w;
+  return out;
 }
 
 }  // namespace clockmark::measure

@@ -20,12 +20,16 @@
 //  - detection decisions (peak rotation, presence verdict) on the chip
 //    I/II presets are identical to the reference path.
 //
-// Auto-range keeps the streaming chain's two-pass shape: the scope range
-// depends on the whole waveform's min/max, so the caller runs a range
-// pass (range_feed + fix_range) and then the acquire pass, both seeded
-// identically. That mirrors what StreamingAcquisitionChain always did —
-// the kernel is now the single implementation behind both the batch and
-// the streaming front-ends.
+// Auto-range keeps the chain's two-pass shape: the scope range depends
+// on the whole waveform's min/max, so a range pass (range_feed +
+// fix_range) precedes the acquire pass, both seeded identically.
+// acquire() drives every pass over a whole trace and is the one pass
+// driver behind AcquisitionChain::measure and the batch kernel's
+// per-lane fallback; the feed methods stay public for the one chunked
+// driver, sim::ScenarioTraceStream, which synthesises each chunk on the
+// fly and so must replay the passes itself. Validation, block sizing,
+// the noise-stream forks, PDN priming, the auto-range rule and the LSB
+// formula are shared with the batch kernel (measure/chain_internal.h).
 //
 // Trigger-offset captures (config.trigger_sim != kAligned) add a third
 // pass between range and acquire: the capture starts mid-cycle (the
@@ -59,6 +63,12 @@ class AcquisitionKernel {
   AcquisitionKernel(const AcquisitionKernel&) = delete;
   AcquisitionKernel& operator=(const AcquisitionKernel&) = delete;
 
+  /// Acquires a whole trace: the range pass (auto-range only), the
+  /// trigger pass (trigger-offset capture only), then the acquire pass,
+  /// with the summary filled in. One call per kernel — the passes are
+  /// single-use.
+  Acquisition acquire(std::span<const double> cycle_power_w);
+
   /// True when the scope range must be learned from a first full pass
   /// (config.range_policy == kAutoRange); otherwise acquire_feed may be
   /// called directly.
@@ -90,8 +100,8 @@ class AcquisitionKernel {
     double mean_power_w = 0.0;  ///< running mean of Y
     double lsb_power_w = 0.0;   ///< one ADC code as chip power
   };
-  /// Valid after the last acquire_feed; matches the batch Acquisition
-  /// metadata bit for bit.
+  /// Valid after the last acquire_feed; matches the whole-trace
+  /// Acquisition metadata bit for bit.
   Summary summary() const;
 
   const AcquisitionConfig& config() const noexcept { return config_; }
@@ -110,8 +120,8 @@ class AcquisitionKernel {
   void prime_pdn(Pass& pass, std::span<const double> cycle_power_w);
 
   AcquisitionConfig config_;
-  double clock_hz_;
-  std::size_t block_cycles_;
+  double sample_rate_hz_ = 0.0;
+  std::size_t block_cycles_ = 0;
   std::vector<double> template_;  ///< per-cycle pulse template (sums to 1)
 
   std::unique_ptr<Pass> range_pass_;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "dsp/fft_plan.h"
 #include "serve/job.h"
 #include "sim/scenario.h"
 #include "sync/engine.h"
@@ -73,24 +72,6 @@ std::shared_ptr<const sync::CandidateEngine> ResourceBroker::engine(
     const std::string& tenant, std::span<const double> pattern, bool* hit) {
   (void)tenant;  // engines are keyed by pattern; tenants share freely
   return engines_->acquire(pattern, hit);
-}
-
-std::shared_ptr<const dsp::FftPlan> ResourceBroker::plan(
-    const std::string& tenant, std::size_t n, bool* hit) {
-  if (n == 0 || n > dsp::kMaxPlannedFftSize) {
-    if (hit != nullptr) *hit = false;
-    return nullptr;
-  }
-  // Route through dsp::get_fft_plan so the broker's handle is the same
-  // plan every other caller sees; the broker entry pins it and makes
-  // plan reuse visible in the unified accounting. The size estimate is
-  // ~4 complex doubles per point (twiddles both directions + scratch).
-  auto value = acquire(tenant, "plan:" + std::to_string(n), hit,
-                       n * 8 * sizeof(double),
-                       [n]() -> std::shared_ptr<const void> {
-                         return dsp::get_fft_plan(n);
-                       });
-  return std::static_pointer_cast<const dsp::FftPlan>(std::move(value));
 }
 
 std::shared_ptr<const void> ResourceBroker::acquire(

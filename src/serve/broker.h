@@ -3,7 +3,7 @@
 // M jobs pay for each artefact once — under explicit limits — instead
 // of M×N times.
 //
-// Three artefact classes, two stores:
+// Two artefact classes, two stores:
 //   * sync::CandidateEngine instances (pattern FFT + bounded per-length
 //     sweep table, cpa/spectrum_engine.h) — delegated to a shared
 //     detect::EngineCache, which is already the size-capped LRU the
@@ -12,8 +12,8 @@
 //     SpectrumEngine::kMaxCachedLengths length tables.
 //   * sim::Scenario memos (the gate-level characterisation behind a
 //     ScenarioRef — hundreds of ms to build, shared across repetitions)
-//     and dsp::FftPlan handles — kept in a unified byte-accounted LRU
-//     store with a global cap and per-tenant quotas.
+//     — kept in a unified byte-accounted LRU store with a global cap and
+//     per-tenant quotas.
 //
 // Governance rules of the unified store:
 //   * ref-counted pinning: an entry whose shared_ptr is still held by a
@@ -47,10 +47,6 @@
 
 #include "detect/engine_cache.h"
 
-namespace clockmark::dsp {
-class FftPlan;
-}
-
 namespace clockmark::sim {
 class Scenario;
 struct ScenarioConfig;
@@ -72,7 +68,7 @@ sim::ScenarioConfig to_scenario_config(const ScenarioRef& ref);
 struct BrokerConfig {
   /// Engines retained by the shared detect::EngineCache.
   std::size_t engine_capacity = detect::EngineCache::kDefaultCapacity;
-  /// Unified store caps (scenario memos + plan handles).
+  /// Unified store caps (scenario memos).
   std::size_t max_bytes = 256u << 20u;  ///< 256 MiB of estimated memo size
   std::size_t max_entries = 32;
   /// Per-tenant byte quota in the unified store; 0 = no quota.
@@ -113,15 +109,6 @@ class ResourceBroker {
   std::shared_ptr<const sync::CandidateEngine> engine(
       const std::string& tenant, std::span<const double> pattern,
       bool* hit = nullptr);
-
-  /// A pinned FFT-plan handle for transform size n (nullptr when the
-  /// registry declines — n == 0 or beyond dsp::kMaxPlannedFftSize).
-  /// dsp::get_fft_plan already keeps a process-wide registry; the
-  /// broker's entry pins the handle so plan reuse shows up in the same
-  /// accounting as every other shared artefact.
-  std::shared_ptr<const dsp::FftPlan> plan(const std::string& tenant,
-                                           std::size_t n,
-                                           bool* hit = nullptr);
 
   /// The engine cache itself — Sessions constructed for service jobs
   /// share it directly.

@@ -6,9 +6,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
-#include <utility>
+#include <system_error>
+#include <thread>
 
 #include "serve/dispatch.h"
 #include "serve/protocol.h"
@@ -65,9 +68,18 @@ ServiceHost::~ServiceHost() { stop(); }
 
 void ServiceHost::accept_loop() {
   for (;;) {
+    reap_finished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of descriptors or buffers: the connection stays queued in
+        // the backlog. Back off and retry once clients have gone away
+        // (stop() shuts the listener down, which ends the loop below).
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       return;  // listener closed by stop()
     }
     const std::lock_guard<std::mutex> lock(mu_);
@@ -75,12 +87,34 @@ void ServiceHost::accept_loop() {
       close_quietly(fd);
       return;
     }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    try {
+      connection.thread =
+          std::thread([this, &connection] { serve_connection(connection); });
+    } catch (const std::system_error&) {
+      // Out of threads: turn this client away and keep accepting.
+      close_quietly(fd);
+      connections_.pop_back();
+    }
   }
 }
 
-void ServiceHost::serve_connection(int fd) {
+void ServiceHost::reap_finished() {
+  std::list<Connection> finished;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), connections_, it);
+      it = next;
+    }
+  }
+  for (Connection& connection : finished) connection.thread.join();
+}
+
+void ServiceHost::serve_connection(Connection& connection) {
+  const int fd = connection.fd;
   Dispatcher dispatcher(service_);
   try {
     while (std::optional<Frame> request = read_frame(fd)) {
@@ -96,9 +130,12 @@ void ServiceHost::serve_connection(int fd) {
     // recovery point inside a frame, and per-connection state dies with
     // the Dispatcher.
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed by stop() (it stays in connection_fds_ so a
-  // concurrent stop() never races a close with our reads).
+  // Close under the lock: stop() shuts live sockets down under it too,
+  // so it never touches a descriptor number after it was released.
+  const std::lock_guard<std::mutex> lock(mu_);
+  close_quietly(fd);
+  connection.fd = -1;
+  connection.done = true;
 }
 
 void ServiceHost::request_shutdown() {
@@ -115,30 +152,27 @@ void ServiceHost::wait_for_shutdown() {
 }
 
 void ServiceHost::stop() {
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return;
     stopped_ = true;
     shutdown_requested_ = true;
-    connections.swap(connections_);
   }
   shutdown_cv_.notify_all();
-  // Unblock accept() and every blocked read; then join.
+  // Unblock accept() and join the accept thread first, so no connection
+  // is added or reaped behind our back; then unblock every blocked read
+  // and join the rest. Each connection closes its own socket on exit.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    connections.swap(connections_);
+    for (const Connection& connection : connections) {
+      if (connection.fd >= 0) ::shutdown(connection.fd, SHUT_RDWR);
+    }
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : connection_fds_) close_quietly(fd);
-    connection_fds_.clear();
-  }
+  for (Connection& connection : connections) connection.thread.join();
   close_quietly(listen_fd_);
   listen_fd_ = -1;
 }

@@ -11,15 +11,21 @@
 // thread then calls stop(), which closes the listener and every live
 // connection and joins all threads. stop() is also safe to call first
 // (Ctrl-C path) and from the destructor.
+//
+// A connection closes its own socket when its client goes away, and the
+// accept thread joins finished connection threads before each accept, so
+// a long-running daemon holds descriptors and threads only for live
+// clients. When accept() runs out of descriptors (EMFILE/ENFILE) the
+// accept thread reaps, backs off briefly and retries instead of giving
+// up; the pending connection waits in the listen backlog.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/service.h"
 
@@ -52,8 +58,19 @@ class ServiceHost {
   void stop();
 
  private:
+  /// One client: its socket (-1 once the connection closed it) and the
+  /// thread serving it. List nodes never move, so the thread may hold a
+  /// reference to its own entry while others are added and removed.
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+
   void accept_loop();
-  void serve_connection(int fd);
+  void serve_connection(Connection& connection);
+  /// Joins every finished connection thread. Accept thread only.
+  void reap_finished();
   void request_shutdown();
 
   DetectionService& service_;
@@ -65,8 +82,7 @@ class ServiceHost {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool stopped_ = false;
-  std::vector<std::thread> connections_;
-  std::vector<int> connection_fds_;
+  std::list<Connection> connections_;
 };
 
 }  // namespace clockmark::serve

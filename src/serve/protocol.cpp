@@ -86,6 +86,7 @@ class ByteReader {
   }
   void raw(void* data, std::size_t n) {
     if (n > remaining()) throw ProtocolError("payload underrun");
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(data, bytes_.data() + pos_, n);
     pos_ += n;
   }

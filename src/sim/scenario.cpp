@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "cpu/programs.h"
 #include "runtime/seed.h"
@@ -100,78 +101,87 @@ std::shared_ptr<const std::vector<double>> Scenario::tiled_watermark(
   return tiled;
 }
 
+std::size_t Scenario::true_rotation(std::size_t repetition) const {
+  const std::uint64_t derived =
+      runtime::derive_phase_seed(config_.seed, repetition);
+  return config_.phase_offset.value_or(static_cast<std::size_t>(
+      derived % static_cast<std::uint64_t>(characterization_.period)));
+}
+
+soc::Chip2Config Scenario::overlay_config(std::size_t repetition) const {
+  soc::Chip2Config c2;
+  c2.a5_core = config_.a5_core;
+  c2.fabric_power_w = config_.fabric_power_w;
+  c2.fabric_jitter = config_.fabric_jitter;
+  c2.noise_seed = runtime::derive_background_seed(config_.seed, repetition);
+  return c2;
+}
+
+measure::AcquisitionConfig Scenario::acquisition_config(
+    std::size_t repetition) const {
+  measure::AcquisitionConfig acq = config_.acquisition;
+  acq.vdd_v = config_.tech.vdd_v;
+  acq.noise_seed = runtime::derive_acquisition_seed(config_.seed, repetition);
+  return acq;
+}
+
+void Scenario::fill_cached_power(std::size_t repetition,
+                                 ScenarioResult& result) const {
+  const TraceCache& cache = cached_deterministic_traces();
+  if (config_.chip == ChipModel::kChip1) {
+    result.background_power = power::PowerTrace(
+        cache.background, cache.clock_hz, "chip1-background");
+  } else {
+    soc::Chip2NoiseOverlay overlay(overlay_config(repetition), config_.tech);
+    result.background_power = overlay.apply(cache.background, cache.clock_hz,
+                                            "chip2-background");
+  }
+  // A disabled watermark's hard-macro domain only leaks.
+  std::vector<double> wm_power =
+      config_.watermark_active
+          ? *tiled_watermark(result.true_rotation)
+          : std::vector<double>(config_.trace_cycles,
+                                characterization_.leakage_w);
+  result.watermark_power =
+      power::PowerTrace(std::move(wm_power), cache.clock_hz, "watermark");
+  result.total_power = result.background_power;
+  result.total_power += result.watermark_power;
+}
+
 ScenarioResult Scenario::run_impl(std::size_t repetition, bool use_cache,
                                   bool acquire) const {
   ScenarioResult result;
-  const std::size_t period = characterization_.period;
-
-  // Phase: pinned or derived from (seed, repetition).
-  const std::uint64_t derived =
-      runtime::derive_phase_seed(config_.seed, repetition);
-  result.true_rotation =
-      config_.phase_offset.value_or(static_cast<std::size_t>(
-          derived % static_cast<std::uint64_t>(period)));
-
-  // CPA model pattern: one canonical period of WMARK.
+  result.true_rotation = true_rotation(repetition);
   if (use_cache) {
     result.pattern = model_pattern_;
+    fill_cached_power(repetition, result);
   } else {
+    // The memoization oracle: every piece recomputed from scratch.
+    const std::size_t period = characterization_.period;
     result.pattern.resize(period);
     for (std::size_t i = 0; i < period; ++i) {
       result.pattern[i] = characterization_.wmark_bits[i] ? 1.0 : 0.0;
     }
-  }
-
-  // Background power: deterministic pieces from the cache, the chip II
-  // noise overlay replayed with this repetition's seed.
-  if (use_cache) {
-    const TraceCache& cache = cached_deterministic_traces();
-    if (config_.chip == ChipModel::kChip1) {
-      result.background_power = power::PowerTrace(
-          cache.background, cache.clock_hz, "chip1-background");
-    } else {
-      soc::Chip2Config c2;
-      c2.a5_core = config_.a5_core;
-      c2.fabric_power_w = config_.fabric_power_w;
-      c2.fabric_jitter = config_.fabric_jitter;
-      c2.noise_seed =
-          runtime::derive_background_seed(config_.seed, repetition);
-      soc::Chip2NoiseOverlay overlay(c2, config_.tech);
-      result.background_power = overlay.apply(
-          cache.background, cache.clock_hz, "chip2-background");
-    }
-  } else {
     result.background_power = run_background(repetition);
-  }
-
-  // Watermark power.
-  std::vector<double> wm_power(config_.trace_cycles, 0.0);
-  if (config_.watermark_active) {
-    if (use_cache) {
-      wm_power = *tiled_watermark(result.true_rotation);
-    } else {
+    std::vector<double> wm_power(config_.trace_cycles, 0.0);
+    if (config_.watermark_active) {
       wm_power = watermark::tile_watermark_power(
           characterization_, config_.trace_cycles, result.true_rotation);
+    } else {
+      std::fill(wm_power.begin(), wm_power.end(),
+                characterization_.leakage_w);
     }
-  } else {
-    // Disabled watermark: the hard-macro domain only leaks.
-    std::fill(wm_power.begin(), wm_power.end(),
-              characterization_.leakage_w);
+    result.watermark_power = power::PowerTrace(
+        std::move(wm_power), result.background_power.clock_hz(),
+        "watermark");
+    result.total_power = result.background_power;
+    result.total_power += result.watermark_power;
   }
-  result.watermark_power = power::PowerTrace(
-      std::move(wm_power), result.background_power.clock_hz(), "watermark");
-
-  result.total_power = result.background_power;
-  result.total_power += result.watermark_power;
 
   if (acquire) {
     // Measurement with repetition-unique noise, at the scenario's
     // operating voltage.
-    measure::AcquisitionConfig acq = config_.acquisition;
-    acq.vdd_v = config_.tech.vdd_v;
-    acq.noise_seed =
-        runtime::derive_acquisition_seed(config_.seed, repetition);
-    measure::AcquisitionChain chain(acq);
+    measure::AcquisitionChain chain(acquisition_config(repetition));
     result.acquisition = chain.measure(result.total_power);
   }
   return result;

@@ -78,7 +78,9 @@ class Scenario {
  public:
   explicit Scenario(const ScenarioConfig& config);
 
-  /// Runs one repetition. Noise streams, and the phase if not pinned,
+  /// Runs one repetition through measure::AcquisitionKernel — never the
+  /// batch kernel, whose whole-trace waveform cache would hold the
+  /// sample-rate waveform. Noise streams, and the phase if not pinned,
   /// derive from (config.seed, repetition) via runtime/seed.h.
   ///
   /// Thread-safe: `run` is const, keeps all per-repetition state (RNG
@@ -102,9 +104,9 @@ class Scenario {
   /// derived rotation, same acquisition bits (asserted by
   /// tests/test_sim_batch.cpp on both chips) — the batch only changes
   /// the speed. Configurations the batch kernel does not model
-  /// (trigger-offset capture, disabled PDN) fall back to run() per
-  /// repetition. Thread-safe like run(); distinct repetition ranges
-  /// may run concurrently.
+  /// (trigger-offset capture, disabled PDN, zero-cycle traces) are
+  /// acquired per lane by the kernel itself. Thread-safe like run();
+  /// distinct repetition ranges may run concurrently.
   std::vector<BatchScenarioRepetition> run_batch(
       std::size_t first_repetition, std::size_t count) const;
 
@@ -170,6 +172,25 @@ class Scenario {
                           std::shared_ptr<const std::vector<double>>>>
         tiled;
   };
+
+  /// The memoized device power of one repetition, written into
+  /// result's background/watermark/total traces for the rotation in
+  /// result.true_rotation: the chip background (chip I: the cached
+  /// base; chip II: overlay_config()'s seeded overlay replayed on the
+  /// cached base), the cached watermark tile (or the disabled block's
+  /// leakage), and their element-wise sum. The one synthesis behind
+  /// run() and run_batch(); open_stream() steps the same overlay.
+  void fill_cached_power(std::size_t repetition, ScenarioResult& result) const;
+
+  /// Where repetition's peak should land: pinned, or derived from
+  /// (config.seed, repetition).
+  std::size_t true_rotation(std::size_t repetition) const;
+  /// The chip II A5/fabric noise-overlay config of one repetition.
+  soc::Chip2Config overlay_config(std::size_t repetition) const;
+  /// The measurement chain of one repetition: the scenario's
+  /// acquisition at its operating voltage, with the repetition-unique
+  /// noise seed.
+  measure::AcquisitionConfig acquisition_config(std::size_t repetition) const;
 
   soc::Chip1Config m0_config() const;
   power::PowerTrace run_background(std::size_t repetition) const;

@@ -1,17 +1,16 @@
 // Scenario::run_batch — the repetition-batched front half of the R-heavy
 // studies. Synthesis stays per lane (chip II's noise overlay is a serial
-// data-dependent recurrence; chip I's background is a cache read), but
-// each lane's total power is materialised exactly once as a plain
-// vector, and the acquisitions then ride one BatchAcquisitionKernel run
-// as interleaved SoA lanes. See measure/batch_kernel.h for why that is
-// both bit-identical to the per-rep path and substantially faster.
-#include <cstdint>
-#include <memory>
+// data-dependent recurrence; chip I's background is a cache read) and is
+// run()'s own (fill_cached_power), but each lane's total power is kept
+// as a plain trace and the acquisitions then ride one
+// BatchAcquisitionKernel run as interleaved SoA lanes. See
+// measure/batch_kernel.h for why that is both bit-identical to the
+// per-rep path and substantially faster, and for the configurations the
+// kernel acquires per lane instead.
 #include <utility>
 #include <vector>
 
 #include "measure/batch_kernel.h"
-#include "runtime/seed.h"
 #include "sim/scenario.h"
 
 namespace clockmark::sim {
@@ -21,65 +20,22 @@ std::vector<BatchScenarioRepetition> Scenario::run_batch(
   std::vector<BatchScenarioRepetition> out(count);
   if (count == 0) return out;
 
-  measure::AcquisitionConfig acq = config_.acquisition;
-  acq.vdd_v = config_.tech.vdd_v;
-  if (!measure::BatchAcquisitionKernel::supports(acq) ||
-      config_.trace_cycles == 0) {
-    // Trigger-offset and PDN-less studies: keep the exact run()
-    // semantics (the batch kernel would fall back per lane anyway, and
-    // run() also covers the degenerate zero-cycle shape).
-    for (std::size_t i = 0; i < count; ++i) {
-      ScenarioResult r = run(first_repetition + i);
-      out[i].acquisition = std::move(r.acquisition);
-      out[i].true_rotation = r.true_rotation;
-    }
-    return out;
-  }
-
-  const TraceCache& cache = cached_deterministic_traces();
-  const std::size_t period = characterization_.period;
-
-  // Materialise each lane's total per-cycle power with run_impl's exact
-  // arithmetic and element order: background (cache read, or the seeded
-  // chip II overlay replayed on the cached M0 base), then the
-  // element-wise watermark add (PowerTrace::operator+='s loop).
-  std::vector<std::vector<double>> totals(count);
+  std::vector<power::PowerTrace> totals(count);
   std::vector<measure::BatchLane> lanes(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t rep = first_repetition + i;
-    const std::uint64_t derived =
-        runtime::derive_phase_seed(config_.seed, rep);
-    out[i].true_rotation =
-        config_.phase_offset.value_or(static_cast<std::size_t>(
-            derived % static_cast<std::uint64_t>(period)));
-
-    if (config_.chip == ChipModel::kChip1) {
-      totals[i] = cache.background;
-    } else {
-      soc::Chip2Config c2;
-      c2.a5_core = config_.a5_core;
-      c2.fabric_power_w = config_.fabric_power_w;
-      c2.fabric_jitter = config_.fabric_jitter;
-      c2.noise_seed = runtime::derive_background_seed(config_.seed, rep);
-      soc::Chip2NoiseOverlay overlay(c2, config_.tech);
-      totals[i] =
-          overlay.apply(cache.background, cache.clock_hz, "chip2-background")
-              .values();
-    }
-    std::vector<double>& total = totals[i];
-    if (config_.watermark_active) {
-      const std::shared_ptr<const std::vector<double>> wm =
-          tiled_watermark(out[i].true_rotation);
-      for (std::size_t c = 0; c < total.size(); ++c) total[c] += (*wm)[c];
-    } else {
-      // Disabled watermark: the hard-macro domain only leaks.
-      for (double& v : total) v += characterization_.leakage_w;
-    }
-    lanes[i] = measure::BatchLane{
-        totals[i], runtime::derive_acquisition_seed(config_.seed, rep)};
+    ScenarioResult r;
+    r.true_rotation = true_rotation(rep);
+    fill_cached_power(rep, r);
+    out[i].true_rotation = r.true_rotation;
+    totals[i] = std::move(r.total_power);
+    lanes[i] = measure::BatchLane{totals[i].span(),
+                                  acquisition_config(rep).noise_seed};
   }
 
-  const measure::BatchAcquisitionKernel kernel(acq, cache.clock_hz);
+  const measure::BatchAcquisitionKernel kernel(
+      acquisition_config(first_repetition),
+      cached_deterministic_traces().clock_hz);
   std::vector<measure::Acquisition> acquisitions = kernel.run(lanes);
   for (std::size_t i = 0; i < count; ++i) {
     out[i].acquisition = std::move(acquisitions[i]);

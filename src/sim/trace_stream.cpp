@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "runtime/seed.h"
-
 namespace clockmark::sim {
 
 ScenarioTraceStream::ScenarioTraceStream(const Scenario& scenario,
@@ -13,7 +11,14 @@ ScenarioTraceStream::ScenarioTraceStream(const Scenario& scenario,
     : scenario_(scenario),
       repetition_(repetition),
       chunk_cycles_(chunk_cycles),
-      total_cycles_(scenario.config().trace_cycles) {
+      total_cycles_(scenario.config().trace_cycles),
+      true_rotation_(scenario.true_rotation(repetition)),
+      pattern_(scenario.model_pattern_),
+      // The deterministic base trace from the shared per-Scenario cache —
+      // the one O(trace) allocation of the stream, shared with run().
+      background_(&scenario.cached_deterministic_traces().background),
+      kernel_(scenario.acquisition_config(repetition),
+              scenario.cached_deterministic_traces().clock_hz) {
   if (chunk_cycles_ == 0) {
     throw std::invalid_argument(
         "ScenarioTraceStream: chunk_cycles must be > 0");
@@ -28,65 +33,36 @@ ScenarioTraceStream::ScenarioTraceStream(const Scenario& scenario,
         "ScenarioTraceStream: chunk_cycles must cover the 8-cycle PDN "
         "priming window (9 cycles with a trigger offset)");
   }
-  const ScenarioConfig& cfg = scenario_.config_;
-  const std::size_t period = scenario_.characterization_.period;
 
-  // Phase and pattern: the same derivation as Scenario::run_impl.
-  const std::uint64_t derived =
-      runtime::derive_phase_seed(cfg.seed, repetition_);
-  true_rotation_ = cfg.phase_offset.value_or(static_cast<std::size_t>(
-      derived % static_cast<std::uint64_t>(period)));
-  pattern_ = scenario_.model_pattern_;
-
-  // Deterministic base trace from the shared per-Scenario cache — the
-  // one O(trace) allocation of the stream, shared with every batch run().
-  const Scenario::TraceCache& cache = scenario_.cached_deterministic_traces();
-  background_ = &cache.background;
-
-  measure::AcquisitionConfig acq = cfg.acquisition;
-  acq.vdd_v = cfg.tech.vdd_v;
-  acq.noise_seed = runtime::derive_acquisition_seed(cfg.seed, repetition_);
-  chain_ = std::make_unique<measure::StreamingAcquisitionChain>(
-      acq, cache.clock_hz);
-
-  // Range pass: stream the analog chain once so the scope range is
-  // chosen from the full waveform, exactly as the batch auto-range does.
-  if (chain_->needs_range_pass()) {
-    SynthCursor range_cursor;
-    range_cursor.overlay = make_overlay();
-    while (range_cursor.position < total_cycles_) {
+  // The whole-trace passes before acquiring — range (the scope range is
+  // chosen from the full waveform) and, for trigger-offset captures,
+  // trigger (the edge phase is folded from the full digitised waveform)
+  // — each replay the synthesis from cycle 0 with a fresh overlay.
+  const auto replay = [this](auto feed) {
+    SynthCursor cursor;
+    cursor.overlay = make_overlay();
+    while (cursor.position < total_cycles_) {
       const std::size_t n =
-          std::min(chunk_cycles_, total_cycles_ - range_cursor.position);
-      chain_->range_feed(synthesize(range_cursor, n));
+          std::min(chunk_cycles_, total_cycles_ - cursor.position);
+      feed(synthesize(cursor, n));
     }
-    chain_->fix_range();
+  };
+  if (kernel_.needs_range_pass()) {
+    replay([this](const std::vector<double>& c) { kernel_.range_feed(c); });
+    kernel_.fix_range();
   }
-  // Trigger pass (trigger_sim != kAligned): stream once more so the
-  // edge-trigger phase is folded from the full digitised waveform, as
-  // the batch auto_align does.
-  if (chain_->needs_trigger_pass()) {
-    SynthCursor trigger_cursor;
-    trigger_cursor.overlay = make_overlay();
-    while (trigger_cursor.position < total_cycles_) {
-      const std::size_t n =
-          std::min(chunk_cycles_, total_cycles_ - trigger_cursor.position);
-      chain_->trigger_feed(synthesize(trigger_cursor, n));
-    }
-    chain_->fix_trigger();
+  if (kernel_.needs_trigger_pass()) {
+    replay([this](const std::vector<double>& c) { kernel_.trigger_feed(c); });
+    kernel_.fix_trigger();
   }
   acquire_cursor_.overlay = make_overlay();
 }
 
 std::unique_ptr<soc::Chip2NoiseOverlay> ScenarioTraceStream::make_overlay()
     const {
-  const ScenarioConfig& cfg = scenario_.config_;
-  if (cfg.chip != ChipModel::kChip2) return nullptr;
-  soc::Chip2Config c2;
-  c2.a5_core = cfg.a5_core;
-  c2.fabric_power_w = cfg.fabric_power_w;
-  c2.fabric_jitter = cfg.fabric_jitter;
-  c2.noise_seed = runtime::derive_background_seed(cfg.seed, repetition_);
-  return std::make_unique<soc::Chip2NoiseOverlay>(c2, cfg.tech);
+  if (scenario_.config_.chip != ChipModel::kChip2) return nullptr;
+  return std::make_unique<soc::Chip2NoiseOverlay>(
+      scenario_.overlay_config(repetition_), scenario_.config_.tech);
 }
 
 std::vector<double> ScenarioTraceStream::synthesize(SynthCursor& cursor,
@@ -115,8 +91,8 @@ std::vector<double> ScenarioTraceStream::synthesize(SynthCursor& cursor,
 std::vector<double> ScenarioTraceStream::next() {
   if (position_ >= total_cycles_) return {};
   const std::size_t n = std::min(chunk_cycles_, total_cycles_ - position_);
-  std::vector<double> y =
-      chain_->acquire_feed(synthesize(acquire_cursor_, n));
+  std::vector<double> y;
+  kernel_.acquire_feed(synthesize(acquire_cursor_, n), y);
   position_ += n;
   return y;
 }

@@ -8,16 +8,20 @@
 // (asserted in tests). The deterministic background comes from the same
 // per-Scenario cache run() uses; the chip II noise overlay and the
 // measurement chain consume their seeded RNG streams sample by sample in
-// the same order as the batch path, and the scope's auto-range is learned
-// by streaming the analog chain once before the acquire pass (see
-// measure/streaming.h), so chunk boundaries never shift a single draw.
+// the same order as the batch path, and the scope's auto-range (and, for
+// trigger-offset captures, the edge-trigger phase) is learned by
+// streaming the analog chain through measure::AcquisitionKernel's range
+// (and trigger) pass before the acquire pass, so chunk boundaries never
+// shift a single draw. This is the one chunked driver of the kernel's
+// passes: it synthesises each chunk on the fly, so it replays the
+// synthesis once per pass instead of holding the whole trace.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "measure/streaming.h"
+#include "measure/kernel.h"
 #include "sim/scenario.h"
 #include "soc/chip2.h"
 
@@ -43,9 +47,10 @@ class ScenarioTraceStream {
   const std::vector<double>& pattern() const noexcept { return pattern_; }
   std::size_t true_rotation() const noexcept { return true_rotation_; }
 
-  /// Acquisition metadata once the stream has been drained.
-  measure::StreamingAcquisitionChain::Summary summary() const {
-    return chain_->summary();
+  /// Acquisition metadata; matches run(repetition).acquisition's
+  /// mean_power_w and lsb_power_w once the stream has been drained.
+  measure::AcquisitionKernel::Summary summary() const {
+    return kernel_.summary();
   }
 
  private:
@@ -68,7 +73,7 @@ class ScenarioTraceStream {
   std::vector<double> pattern_;
   const std::vector<double>* background_ = nullptr;  ///< cached base trace
   SynthCursor acquire_cursor_;
-  std::unique_ptr<measure::StreamingAcquisitionChain> chain_;
+  measure::AcquisitionKernel kernel_;
   std::size_t position_ = 0;
 };
 

@@ -12,7 +12,6 @@
 #include "cpa/spread_spectrum.h"
 #include "measure/acquisition.h"
 #include "measure/kernel.h"
-#include "measure/streaming.h"
 #include "power/trace.h"
 #include "runtime/seed.h"
 #include "sim/scenario.h"
@@ -128,32 +127,6 @@ TEST(AcquisitionKernel, ChunkedFeedsMatchWholeTraceFeed) {
   }
   EXPECT_EQ(kernel.summary().mean_power_w, whole.mean_power_w);
   EXPECT_EQ(kernel.summary().lsb_power_w, whole.lsb_power_w);
-}
-
-TEST(AcquisitionKernel, StreamingChainDelegatesToKernel) {
-  AcquisitionConfig cfg;
-  cfg.noise_seed = 21;
-  const auto trace = make_trace(3000, 0x777);
-  AcquisitionChain chain(cfg);
-  const auto whole = chain.measure(trace);
-
-  StreamingAcquisitionChain stream(cfg, trace.clock_hz());
-  const auto span = trace.span();
-  if (stream.needs_range_pass()) {
-    for (std::size_t pos = 0; pos < span.size(); pos += 750) {
-      stream.range_feed(span.subspan(pos, 750));
-    }
-    stream.fix_range();
-  }
-  std::vector<double> y;
-  for (std::size_t pos = 0; pos < span.size(); pos += 750) {
-    const auto chunk = stream.acquire_feed(span.subspan(pos, 750));
-    y.insert(y.end(), chunk.begin(), chunk.end());
-  }
-  ASSERT_EQ(y.size(), whole.per_cycle_power_w.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    ASSERT_EQ(y[i], whole.per_cycle_power_w[i]) << "cycle " << i;
-  }
 }
 
 TEST(AcquisitionKernel, RandomTriggerOffsetMatchesReferenceBitExact) {

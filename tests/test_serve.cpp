@@ -3,12 +3,22 @@
 // bit-identical to direct detect::Session runs (chips I and II, 64 jobs
 // over 4 tenants), cooperative cancellation at chunk boundaries, the
 // wire protocol's codec + malformed-input rejection, and the TCP
-// host / client pair end to end.
+// host / client pair end to end, including a host serving past its
+// process's descriptor limit.
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <optional>
@@ -18,7 +28,6 @@
 
 #include "attack/desync.h"
 #include "detect/session.h"
-#include "dsp/fft_plan.h"
 #include "measure/trace_io.h"
 #include "serve/broker.h"
 #include "serve/client.h"
@@ -268,19 +277,6 @@ TEST(ServeBroker, TenantQuotaEvictsOwnEntriesOnly) {
   bool hit = false;
   broker.scenario("b", fast_ref(1, 4000, 2), &hit);
   EXPECT_TRUE(hit);  // b's memo was never a's eviction victim
-}
-
-TEST(ServeBroker, PlanHandlesComeFromTheProcessRegistry) {
-  serve::ResourceBroker broker;
-  EXPECT_EQ(broker.plan("t", 0), nullptr);
-  EXPECT_EQ(broker.plan("t", dsp::kMaxPlannedFftSize + 1), nullptr);
-  bool hit = true;
-  const auto plan = broker.plan("t", 1024, &hit);
-  EXPECT_FALSE(hit);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan.get(), dsp::get_fft_plan(1024).get());  // same registry plan
-  broker.plan("t", 1024, &hit);
-  EXPECT_TRUE(hit);
 }
 
 TEST(ServeBroker, EngineRequestsDelegateToTheSharedEngineCache) {
@@ -920,6 +916,86 @@ TEST(ServeHost, EndToEndOverTcpMatchesLocalVerdict) {
   host.wait_for_shutdown();
   host.stop();
   service.shutdown(/*drain_queued=*/true);
+}
+
+/// Body of ServesPastTheDescriptorLimit, run in a child process: the
+/// lowered RLIMIT_NOFILE acts on that process alone. Exits 0 when every
+/// connection was served; a distinct nonzero code names the failed step.
+[[noreturn]] void serve_past_descriptor_limit() {
+  ::alarm(60);  // a wedged accept loop kills the child instead of hanging
+  const auto fail = [](int code, const char* what) {
+    std::fprintf(stderr, "%s (errno %d)\n", what, errno);
+    std::_Exit(code);
+  };
+  constexpr rlim_t kLimit = 64;
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) fail(2, "getrlimit");
+  if (lim.rlim_max < 2 * kLimit) fail(9, "hard descriptor limit too low");
+  const auto set_limit = [&lim, &fail](rlim_t soft) {
+    lim.rlim_cur = soft;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) fail(3, "setrlimit");
+  };
+  set_limit(kLimit);
+
+  serve::DetectionService service;
+  serve::ServiceHost host(service, {});
+  // Under a sanitizer, a thread's first and last checks need descriptors
+  // of their own, so no thread may start or end while the table is full.
+  // A client held open across step 1 keeps the accept thread and one
+  // connection thread running throughout, and step 1 frees the table by
+  // raising the limit at once, not one descriptor at a time.
+  std::optional<serve::TcpClient> held;
+  held.emplace("127.0.0.1", host.port());
+  if (held->cancel(9999)) fail(8, "cancel of an unknown job accepted");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(host.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+  // 1. Exhaust the table, free exactly one descriptor and connect with it:
+  //    the host's accept() now fails with EMFILE. Once the limit rises,
+  //    the host must still accept and serve that queued connection.
+  std::vector<int> filler;
+  for (int fd = 0; fd >= 0;) {
+    fd = ::open("/dev/null", O_RDONLY);
+    if (fd >= 0) filler.push_back(fd);
+  }
+  if (errno != EMFILE || filler.empty()) fail(4, "could not fill the table");
+  ::close(filler.back());
+  filler.pop_back();
+  const int queued = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (queued < 0) fail(5, "socket");
+  if (::connect(queued, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    fail(6, "connect");
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  set_limit(2 * kLimit);
+  held.reset();
+  serve::write_frame(queued, serve::encode_cancel(9999));
+  const std::optional<serve::Frame> ack = serve::read_frame(queued);
+  if (!ack || serve::decode_cancel_ack(*ack)) fail(7, "queued connection");
+  ::close(queued);
+  for (const int fd : filler) ::close(fd);
+  set_limit(kLimit);
+
+  // 2. Three times more connect/close cycles than the limit: the host
+  //    must release each connection's descriptor when its client goes.
+  for (rlim_t i = 0; i < 3 * kLimit; ++i) {
+    serve::TcpClient client("127.0.0.1", host.port());
+    if (client.cancel(9999)) fail(10, "cancel of an unknown job accepted");
+  }
+  host.stop();
+  service.shutdown(/*drain_queued=*/true);
+  std::exit(0);
+}
+
+TEST(ServeHost, ServesPastTheDescriptorLimit) {
+  // "threadsafe" re-executes the test binary for the child, so it starts
+  // single-threaded whatever threads earlier tests left running.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(serve_past_descriptor_limit(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 TEST(ServeHost, StopWithoutClientsShutsDownCleanly) {

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpa/accumulator.h"
 #include "cpa/detector.h"
 #include "dsp/correlate.h"
+#include "measure/acquisition.h"
 #include "runtime/executor.h"
 #include "sim/scenario.h"
+#include "sim/trace_stream.h"
 #include "stream/online_detector.h"
 #include "stream/trace_source.h"
 #include "sync/engine.h"
@@ -100,19 +103,49 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(OnlineDetector, ScenarioSourceMatchesBatchAcquisition) {
   // The chunked synthesis + acquisition path reproduces the batch Y
-  // vector bit for bit (chip II exercises the seeded noise overlay).
-  for (const ChipModel chip : {ChipModel::kChip1, ChipModel::kChip2}) {
-    const Scenario sc(fast_config(chip));
-    const auto batch = sc.run(0);
-    stream::ScenarioSource source(sc, 0, /*chunk_cycles=*/1536);
-    std::vector<double> streamed;
-    while (auto c = source.next()) {
-      ASSERT_EQ(c->start_cycle, streamed.size());
-      streamed.insert(streamed.end(), c->values.begin(), c->values.end());
+  // vector and its metadata bit for bit (chip II exercises the seeded
+  // noise overlay): aligned captures, a random trigger offset fed in
+  // 9-cycle chunks (the smallest first chunk that covers the PDN
+  // priming window plus the cycle the offset eats), and the PDN-less
+  // chain.
+  struct Input {
+    const char* name;
+    measure::TriggerSim trigger;
+    bool pdn;
+    std::size_t chunk_cycles;
+  };
+  const Input inputs[] = {
+      {"aligned", measure::TriggerSim::kAligned, true, 1536},
+      {"random-offset", measure::TriggerSim::kRandomOffset, true, 9},
+      {"pdn-off", measure::TriggerSim::kAligned, false, 1536},
+  };
+  for (const Input& in : inputs) {
+    for (const ChipModel chip : {ChipModel::kChip1, ChipModel::kChip2}) {
+      SCOPED_TRACE(std::string(in.name) + " chip " +
+                   (chip == ChipModel::kChip1 ? "I" : "II"));
+      ScenarioConfig cfg = fast_config(chip);
+      cfg.acquisition.trigger_sim = in.trigger;
+      cfg.acquisition.enable_pdn_filter = in.pdn;
+      const Scenario sc(cfg);
+      const auto batch = sc.run(0);
+      stream::ScenarioSource source(sc, 0, in.chunk_cycles);
+      std::vector<double> streamed;
+      while (auto c = source.next()) {
+        ASSERT_EQ(c->start_cycle, streamed.size());
+        streamed.insert(streamed.end(), c->values.begin(), c->values.end());
+      }
+      EXPECT_EQ(streamed, batch.acquisition.per_cycle_power_w);
+      EXPECT_EQ(source.pattern(), batch.pattern);
+      EXPECT_EQ(source.true_rotation(), batch.true_rotation);
+
+      const auto stream = sc.open_stream(0, in.chunk_cycles);
+      while (!stream->next().empty()) {
+      }
+      const auto summary = stream->summary();
+      EXPECT_EQ(summary.cycles, batch.acquisition.per_cycle_power_w.size());
+      EXPECT_EQ(summary.mean_power_w, batch.acquisition.mean_power_w);
+      EXPECT_EQ(summary.lsb_power_w, batch.acquisition.lsb_power_w);
     }
-    EXPECT_EQ(streamed, batch.acquisition.per_cycle_power_w);
-    EXPECT_EQ(source.pattern(), batch.pattern);
-    EXPECT_EQ(source.true_rotation(), batch.true_rotation);
   }
 }
 
