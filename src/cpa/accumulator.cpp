@@ -20,7 +20,6 @@ RotationAccumulator::RotationAccumulator(
     throw std::invalid_argument("RotationAccumulator: null SpectrumEngine");
   }
   fold_.sums.assign(pattern().size(), 0.0);
-  fold_.counts.assign(pattern().size(), 0);
 }
 
 void RotationAccumulator::add(std::span<const double> y) {

@@ -35,7 +35,7 @@ class RotationAccumulator {
   explicit RotationAccumulator(std::vector<double> pattern);
 
   /// Accumulates against `engine`'s pattern and finalises kFft sweeps
-  /// through it, sharing its length table. Throws on a null engine.
+  /// through it, sharing its pattern transform. Throws on a null engine.
   explicit RotationAccumulator(std::shared_ptr<const SpectrumEngine> engine);
 
   /// Appends the next per-cycle power values. Chunks must arrive in

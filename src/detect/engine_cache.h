@@ -2,13 +2,11 @@
 // keyed by the watermark pattern they were built for.
 //
 // Why it exists: a CandidateEngine's cpa::SpectrumEngine front-loads the
-// expensive part of a blind-sync search (the pattern's FFT and the
-// per-length sx/sxx table — see cpa/spectrum_engine.h), so reusing one
-// across runs is the difference between paying that cost once per
-// pattern and once per search. Every kBlind detect::Session run takes
-// its engine from here. The table is bounded
-// by SpectrumEngine::kMaxCachedLengths, so a retained engine holds at
-// most that many P-double vectors (about 1 MiB at P = 4095). A
+// pattern's FFT (see cpa/spectrum_engine.h), so reusing one across runs
+// pays that cost once per pattern instead of once per run. Every
+// detect::Session run takes its engine from here, whatever its sync
+// policy. An engine holds only the pattern and its transform (about
+// 96 KiB at P = 4095) and never grows after it is built. A
 // long-running process (the cm_serve detection service) runs
 // jobs for *many* patterns through *many* sessions, which needs the
 // cache to be shareable, bounded, and observable:

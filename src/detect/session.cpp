@@ -64,14 +64,8 @@ Report Session::run_stream(stream::TraceSource& source,
   config.queue_capacity = request.streaming.queue_capacity;
   config.max_cycles = request.streaming.max_cycles;
   config.detector = stream_detector_config(request);
-  // Only the blind lock takes the shared engine. A retained engine's
-  // length table admits any length asked for on two runs, so handing it
-  // to every run fills the table with early-stop evaluation lengths
-  // (e2ebench file_stream: 24-32 entries per engine, peak RSS +13 %).
   bool engine_hit = false;
-  if (request.sync == sync::SyncPolicy::kBlind) {
-    config.detector.engine = engine_cache_->acquire(pattern, &engine_hit);
-  }
+  config.detector.engine = engine_cache_->acquire(pattern, &engine_hit);
 
   stream::StreamReport sr =
       stream::StreamPipeline(config).run(source, pattern, executor, cancel);

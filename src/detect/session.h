@@ -13,11 +13,12 @@
 //                     the full cpa::DetectionResult, the blind-lock
 //                     SyncEstimate when one ran, the StreamReport of the
 //                     run, the ScenarioResult for simulated inputs, and
-//                     whether a blind lock's engine came from the cache.
+//                     whether the run's engine came from the cache.
 //
 // One loop: every overload runs stream::StreamPipeline over an
-// OnlineDetector configured by stream_detector_config(request); a kBlind
-// run takes its lock and sweep engine from the session's EngineCache.
+// OnlineDetector configured by stream_detector_config(request); every run
+// takes its sweep engine (and a kBlind run its lock engine) from the
+// session's EngineCache.
 //   * run(span) and run(scenario) chunk the materialised trace through a
 //     stream::SpanSource under whole_trace(request) — early stop off and
 //     the blind lock on the full trace — the configuration under which
@@ -116,8 +117,8 @@ struct Report {
   std::optional<sync::SyncEstimate> sync;
   std::optional<stream::StreamReport> stream;   ///< the loop's counters
   std::optional<sim::ScenarioResult> scenario;  ///< simulated inputs
-  /// kBlind: the lock's engine was served by the EngineCache, not built
-  /// for this run (always false for other policies, which build none).
+  /// The run's engine (sweep, and kBlind lock) was served by the
+  /// EngineCache, not built for this run.
   bool engine_hit = false;
 };
 
@@ -187,7 +188,7 @@ class Session {
   const Request& request() const noexcept { return request_; }
   const std::vector<double>& pattern() const noexcept { return pattern_; }
   /// The shared engine cache (never null). Its stats answer "how often
-  /// did blind runs reuse an engine?".
+  /// did runs reuse an engine?".
   const std::shared_ptr<EngineCache>& engines() const noexcept {
     return engine_cache_;
   }

@@ -50,7 +50,6 @@ void fold_extend(PhaseFold& fold, std::span<const double> y,
   }
   if (fold.sums.empty()) {
     fold.sums.assign(period, 0.0);
-    fold.counts.assign(period, 0);
   } else if (fold.sums.size() != period) {
     throw std::invalid_argument("fold_extend: period changed mid-stream");
   }
@@ -60,26 +59,46 @@ void fold_extend(PhaseFold& fold, std::span<const double> y,
   fold.n += y.size();
   for (const double v : y) {
     fold.sums[p] += v;
-    ++fold.counts[p];
     fold.total += v;
     fold.total_sq += v * v;
     if (++p == period) p = 0;
   }
 }
 
-RotationModelSums rotation_model_sums_at(const PhaseFold& fold,
-                                         std::span<const double> pattern,
-                                         std::size_t rotation) {
+std::size_t phase_count(const PhaseFold& fold, std::size_t p) {
+  const std::size_t period = fold.sums.size();
+  if (period == 0) return 0;
+  return fold.n / period + (p < fold.n % period ? 1 : 0);
+}
+
+void count_model_sums(std::size_t n, std::span<const double> pattern,
+                      std::span<double> sx, std::span<double> sxx) {
   const std::size_t period = pattern.size();
-  RotationModelSums s;
-  for (std::size_t p = 0; p < period; ++p) {
-    const double xv = pattern[(p + rotation) % period];
-    s.sxy += xv * fold.sums[p];
-    const auto cnt = static_cast<double>(fold.counts[p]);
-    s.sx += xv * cnt;
-    s.sxx += xv * xv * cnt;
+  if (period == 0) {
+    throw std::invalid_argument("count_model_sums: empty pattern");
   }
-  return s;
+  if (sx.size() != period || sxx.size() != period) {
+    throw std::invalid_argument("count_model_sums: output size != period");
+  }
+  // Every phase holds n / P samples, and the rem phases 0..rem-1 one
+  // more, so rotation r sums n / P whole periods plus the rem pattern
+  // values from r on. prefix runs over the pattern repeated, which keeps
+  // each window [r, r + rem) one subtraction.
+  const auto full = static_cast<double>(n / period);
+  const std::size_t rem = n % period;
+  std::vector<double> prefix(period + rem + 1, 0.0);
+  const auto fill = [&](bool squared, std::span<double> out) {
+    for (std::size_t i = 0; i + 1 < prefix.size(); ++i) {
+      const double x = pattern[i < period ? i : i - period];
+      prefix[i + 1] = prefix[i] + (squared ? x * x : x);
+    }
+    const double whole = full * prefix[period];
+    for (std::size_t r = 0; r < period; ++r) {
+      out[r] = whole + (prefix[r + rem] - prefix[r]);
+    }
+  };
+  fill(false, sx);
+  fill(true, sxx);
 }
 
 void rotation_model_sums_blocked(const PhaseFold& fold,
@@ -89,12 +108,11 @@ void rotation_model_sums_blocked(const PhaseFold& fold,
   const std::size_t period = pattern.size();
   if (out.empty()) return;
   for (auto& s : out) s = RotationModelSums{};
-  // One pass over sums/counts; lane l reads the pattern at the wrapped
-  // window (p + first_rotation + l) % period. Per lane the accumulation
-  // sequence is identical to rotation_model_sums_at's.
+  // One pass over the fold; lane l reads the pattern at the wrapped
+  // window (p + first_rotation + l) % period.
   for (std::size_t p = 0; p < period; ++p) {
     const double sum = fold.sums[p];
-    const auto cnt = static_cast<double>(fold.counts[p]);
+    const auto cnt = static_cast<double>(phase_count(fold, p));
     std::size_t j = (p + first_rotation) % period;
     for (auto& s : out) {
       const double xv = pattern[j];
@@ -161,17 +179,11 @@ std::vector<double> rotation_correlation_folded_from_fold(
 std::vector<double> rotation_correlation_fft_from_fold(
     const PhaseFold& fold, std::span<const double> pattern) {
   check_fold(fold, pattern);
-  const std::size_t period = pattern.size();
-  std::vector<double> counts_d(period);
-  std::vector<double> pattern_sq(period);
-  for (std::size_t p = 0; p < period; ++p) {
-    counts_d[p] = static_cast<double>(fold.counts[p]);
-    pattern_sq[p] = pattern[p] * pattern[p];
-  }
+  std::vector<double> sx(pattern.size());
+  std::vector<double> sxx(pattern.size());
+  count_model_sums(fold.n, pattern, sx, sxx);
   // r[k] = sum_p a[p] * b[(p + k) mod P] — matches the model-sum shape.
   const auto sxy = circular_cross_correlation(fold.sums, pattern);
-  const auto sx = circular_cross_correlation(counts_d, pattern);
-  const auto sxx = circular_cross_correlation(counts_d, pattern_sq);
   return assemble_rotation_correlations(fold, sxy, sx, sxx);
 }
 

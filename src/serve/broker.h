@@ -4,12 +4,12 @@
 // of M×N times.
 //
 // Two artefact classes, two stores:
-//   * sync::CandidateEngine instances (pattern FFT + bounded per-length
-//     sweep table, cpa/spectrum_engine.h) — delegated to a shared
+//   * sync::CandidateEngine instances (the pattern and its FFT,
+//     cpa/spectrum_engine.h) — delegated to a shared
 //     detect::EngineCache, which is already the size-capped LRU the
 //     detection layer uses; the broker adds the per-job hit telemetry.
-//     Engines are capped by count, not bytes: each holds at most
-//     SpectrumEngine::kMaxCachedLengths length tables.
+//     Engines are capped by count, not bytes: each has a fixed size set
+//     by its period.
 //   * sim::Scenario memos (the gate-level characterisation behind a
 //     ScenarioRef — hundreds of ms to build, shared across repetitions)
 //     — kept in a unified byte-accounted LRU store with a global cap and

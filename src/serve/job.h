@@ -93,7 +93,7 @@ struct JobTiming {
 /// (sampled at acquisition time, not inferred from racy global
 /// counters); `broker` is the broker-wide snapshot after the job.
 struct JobCacheStats {
-  bool engine_hit = false;    ///< blind-search engine served from cache
+  bool engine_hit = false;    ///< the run's engine served from cache
   bool scenario_hit = false;  ///< scenario characterisation reused
   BrokerStats broker;
 };

@@ -15,8 +15,8 @@ cpa::RepeatabilityResult run_repeatability_study(
   // Repetitions travel the acquisition chain in blocks of
   // kRepsPerBlock interleaved SoA lanes (Scenario::run_batch — two
   // full-width BatchAcquisitionKernel groups per block), and the CPA
-  // sweeps share one SpectrumEngine (cached pattern FFT + per-length
-  // fold statistics). Both stages are bit-identical to the historical
+  // sweeps share one SpectrumEngine (cached pattern FFT). Both stages
+  // are bit-identical to the historical
   // per-repetition loop, so the summarised result is unchanged.
   constexpr std::size_t kRepsPerBlock = 8;
   const std::size_t blocks =

@@ -84,7 +84,7 @@ struct OnlineDetectorConfig {
   std::size_t lock_cycles = 0;
   /// Pre-built engine for the blind lock and, through its
   /// cpa::SpectrumEngine, for every evaluation — lets Sessions and
-  /// services amortise the pattern tables across detectors
+  /// services amortise the pattern transform across detectors
   /// (detect::EngineCache). Used only when it was built for this
   /// detector's pattern; results are engine-state-independent, so
   /// sharing is bit-identical.
@@ -152,7 +152,7 @@ class OnlineDetector {
   std::vector<double> lock_buffer_;    ///< raw cycles awaiting the lock
   /// kBlind only: candidate scoring engine for the lock, over the
   /// accumulator's SpectrumEngine, so the lock and the evaluations pay
-  /// for the pattern's FFT and length table once.
+  /// for the pattern's FFT once.
   std::shared_ptr<const sync::CandidateEngine> engine_;
   std::unique_ptr<sync::StreamWarper> warper_;
   std::vector<double> warp_scratch_;

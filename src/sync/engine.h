@@ -1,6 +1,6 @@
 // Blind-sync candidate scoring: warp the trace, then sweep it through a
-// shared cpa::SpectrumEngine, which holds the pattern's transform and
-// the per-length tables (see cpa/spectrum_engine.h for the contract).
+// shared cpa::SpectrumEngine, which holds the pattern's transform (see
+// cpa/spectrum_engine.h for the contract).
 //
 // One blind search (sync/search.h) scores ~140 candidate warps against
 // the same trace and pattern; scoring through one engine pays the
@@ -30,7 +30,7 @@ class CandidateEngine {
   /// and builds its SpectrumEngine. Throws on an empty pattern.
   explicit CandidateEngine(std::vector<double> pattern);
 
-  /// Scores through an existing engine, sharing its tables. Throws on a
+  /// Scores through an existing engine, sharing its transform. Throws on a
   /// null engine.
   explicit CandidateEngine(std::shared_ptr<const cpa::SpectrumEngine> spectrum);
 

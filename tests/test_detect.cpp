@@ -625,6 +625,37 @@ TEST(DetectFacade, ConcurrentSessionReuseBitIdentical) {
             static_cast<std::size_t>(kThreads));
 }
 
+TEST(DetectFacade, TriggeredAndFileRunsShareTheSessionEngine) {
+  // Every run takes its engine from the session's cache, whatever the
+  // sync policy: a retained engine holds only the pattern and its
+  // transform, so sharing it is free and invisible in the verdicts.
+  const Scenario sc(fast_config(ChipModel::kChip1));
+  const auto r = sc.run(0);
+  const auto& y = r.acquisition.per_cycle_power_w;
+  const std::string path = temp_path("shared_engine.cmtrace");
+  measure::write_trace_binary(path, y);
+
+  const detect::Request request;  // kTriggered, early stop on
+  const detect::Session session(request, r.pattern);
+  const detect::Report span_run = session.run(y);
+  const detect::Report file_run = session.run_file(path);
+  EXPECT_FALSE(span_run.engine_hit);
+  EXPECT_TRUE(file_run.engine_hit);
+  EXPECT_EQ(session.engines()->stats().misses, 1u);
+  EXPECT_GE(session.engines()->stats().hits, 1u);
+
+  const detect::Report fresh_span = detect::Session(request, r.pattern).run(y);
+  const detect::Report fresh_file =
+      detect::Session(request, r.pattern).run_file(path);
+  expect_identical(span_run.detection, fresh_span.detection);
+  EXPECT_EQ(span_run.cycles, fresh_span.cycles);
+  EXPECT_EQ(span_run.confidence, fresh_span.confidence);
+  expect_identical(file_run.detection, fresh_file.detection);
+  EXPECT_EQ(file_run.cycles, fresh_file.cycles);
+  EXPECT_EQ(file_run.confidence, fresh_file.confidence);
+  std::filesystem::remove(path);
+}
+
 TEST(DetectFacade, ParallelExecutorBitIdenticalOnBlindBatch) {
   const Scenario sc(fast_config(ChipModel::kChip1));
   const auto r = sc.run(0);

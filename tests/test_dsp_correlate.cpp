@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "cpa/spectrum_engine.h"
+#include "dsp/fft_plan.h"
 #include "sequence/lfsr.h"
 #include "sequence/polynomials.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 
 namespace clockmark::dsp {
@@ -33,9 +37,9 @@ TEST(FoldByPhase, CountsAndSums) {
   EXPECT_DOUBLE_EQ(fold.sums[0], 12.0);
   EXPECT_DOUBLE_EQ(fold.sums[1], 7.0);
   EXPECT_DOUBLE_EQ(fold.sums[2], 9.0);
-  EXPECT_EQ(fold.counts[0], 3u);
-  EXPECT_EQ(fold.counts[1], 2u);
-  EXPECT_EQ(fold.counts[2], 2u);
+  EXPECT_EQ(phase_count(fold, 0), 3u);
+  EXPECT_EQ(phase_count(fold, 1), 2u);
+  EXPECT_EQ(phase_count(fold, 2), 2u);
   EXPECT_DOUBLE_EQ(fold.total, 28.0);
   EXPECT_EQ(fold.n, 7u);
 }
@@ -147,6 +151,90 @@ TEST(RotationCorrelation, NonBinaryPatternsSupported) {
     EXPECT_NEAR(folded[r], naive[r], 1e-9);
     EXPECT_NEAR(fft[r], naive[r], 1e-9);
   }
+}
+
+/// The count sums against the folded sweep's accumulated ones (all P
+/// rotations as lanes of one blocked pass, the O(P^2) reference).
+void expect_count_sums_match(std::size_t n, std::span<const double> pattern,
+                             bool exact) {
+  const std::size_t period = pattern.size();
+  std::vector<double> sx(period);
+  std::vector<double> sxx(period);
+  count_model_sums(n, pattern, sx, sxx);
+  PhaseFold counts_only;
+  counts_only.sums.assign(period, 0.0);
+  counts_only.n = n;
+  std::vector<RotationModelSums> oracle(period);
+  rotation_model_sums_blocked(counts_only, pattern, 0, oracle);
+  for (std::size_t r = 0; r < period; ++r) {
+    if (exact) {
+      ASSERT_EQ(sx[r], oracle[r].sx) << "n=" << n << " r=" << r;
+      ASSERT_EQ(sxx[r], oracle[r].sxx) << "n=" << n << " r=" << r;
+    } else {
+      ASSERT_LE(std::abs(sx[r] - oracle[r].sx),
+                1e-12 * std::abs(oracle[r].sx))
+          << "n=" << n << " r=" << r;
+      ASSERT_LE(std::abs(sxx[r] - oracle[r].sxx),
+                1e-12 * std::abs(oracle[r].sxx))
+          << "n=" << n << " r=" << r;
+    }
+  }
+}
+
+TEST(DspCorrelate, CountSumsExactAgainstFoldedOracle) {
+  for (const sim::ScenarioConfig& config :
+       {sim::chip1_default(), sim::chip2_default()}) {
+    // The chip's own 300k-cycle measurement: the sweep's real input.
+    const sim::ScenarioResult run = sim::Scenario(config).run(0);
+    const std::vector<double>& pattern = run.pattern;
+    const std::vector<double>& y = run.acquisition.per_cycle_power_w;
+    const std::size_t period = pattern.size();
+    ASSERT_EQ(period, 4095u);
+    const cpa::SpectrumEngine engine(pattern);
+    for (const std::size_t n : {period, period + 1, 2 * period - 1,
+                                73 * period + 17, std::size_t{300000}}) {
+      // 0/1 pattern: every partial sum is an integer, so the window
+      // sums carry the folded accumulation's exact bits.
+      expect_count_sums_match(n, pattern, true);
+
+      // The engine's sweep against the independent O(P^2) one.
+      ASSERT_LE(n, y.size());
+      const PhaseFold fold =
+          fold_by_phase(std::span<const double>(y).first(n), period);
+      std::vector<double> rho(period);
+      engine.rotations(fold, rho);
+      EXPECT_EQ(rho, rotation_correlation_fft_from_fold(fold, pattern));
+      const std::vector<double> folded =
+          rotation_correlation_folded_from_fold(fold, pattern);
+      double peak = 0.0;
+      for (const double v : folded) peak = std::max(peak, std::abs(v));
+      ASSERT_GT(peak, 0.0);
+      // sx/sxx are exact on both sides; what remains is the two paths'
+      // different rounding of sxy, up to 3e-11 * max|rho| on these traces.
+      for (std::size_t r = 0; r < period; ++r) {
+        ASSERT_LE(std::abs(rho[r] - folded[r]), 1e-10 * peak)
+            << "n=" << n << " r=" << r;
+      }
+    }
+
+    // A non-binary pattern: the window sums round differently from the
+    // folded accumulation, within 1e-12 relative.
+    util::Pcg32 rng(period);
+    std::vector<double> scaled(pattern);
+    for (double& v : scaled) v = 0.75 * v + rng.uniform(0.0, 0.1);
+    for (const std::size_t n : {period, 73 * period + 17}) {
+      expect_count_sums_match(n, scaled, false);
+    }
+  }
+
+  // A period beyond the plan registry's cap: the engine delegates to the
+  // planless from-fold path and returns its bits.
+  const std::size_t big = kMaxPlannedFftSize + 1;
+  const std::vector<double> pattern = random_pattern(big, 77);
+  const PhaseFold fold = fold_by_phase(random_trace(big + 17, 78), big);
+  std::vector<double> rho(big);
+  cpa::SpectrumEngine(pattern).rotations(fold, rho);
+  EXPECT_EQ(rho, rotation_correlation_fft_from_fold(fold, pattern));
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // The candidate engine (sync/engine.h) must be unobservable from the
 // search's point of view: score() bit-identical to the reference probe
 // sync_score below, batches bit-identical serial vs parallel, a reused
-// engine (the detection facade's steady state, with its per-length
-// table warm) bit-identical to a throwaway one, and the bounded length
-// table invisible in the scores while it admits and evicts — serially
-// and under an 8-thread executor. Also pinned here: the meaning of
+// engine (the detection facade's steady state) bit-identical to a
+// throwaway one, and one engine scoring many distinct warped lengths
+// and repeats of them — serially and under an 8-thread executor — with
+// the oracle's bits every time. Also pinned here: the meaning of
 // SyncEstimate::evaluations (total scored candidates) and the opt-in
 // progressive-resolution mode (coarse_top_k).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <set>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "attack/desync.h"
-#include "cpa/spectrum_engine.h"
 #include "cpa/spread_spectrum.h"
 #include "runtime/executor.h"
 #include "sim/scenario.h"
@@ -161,14 +159,13 @@ TEST(SyncEngine, EmptyPatternThrows) {
                std::invalid_argument);
 }
 
-/// Ratio-only warps of a `cycles`-long trace with pairwise distinct
-/// warped lengths, more of them than the engine's length table holds.
+/// Ratio-only warps of a `cycles`-long trace with 40 pairwise distinct
+/// warped lengths.
 std::vector<sync::WarpSpec> distinct_length_specs(std::size_t cycles) {
   std::vector<sync::WarpSpec> specs;
   std::set<std::size_t> lengths;
   const std::vector<double> probe(cycles, 0.0);
-  for (std::size_t k = 0; k < cpa::SpectrumEngine::kMaxCachedLengths + 8;
-       ++k) {
+  for (std::size_t k = 0; k < 40; ++k) {
     sync::WarpSpec s;
     s.ratio = 1.0 + 1e-4 * static_cast<double>(k);
     specs.push_back(s);
@@ -178,13 +175,11 @@ std::vector<sync::WarpSpec> distinct_length_specs(std::size_t cycles) {
   return specs;
 }
 
-TEST(SyncEngineTable, CapHoldsAndScoresMatchOracleAcrossEviction) {
+TEST(SyncEngineLengths, ScoresMatchOracleAcrossDistinctLengths) {
   const Scenario sc(fast_config(ChipModel::kChip1));
   const auto r = sc.run(0);
   const auto& y = r.acquisition.per_cycle_power_w;
   const sync::CandidateEngine engine(r.pattern);
-  const cpa::SpectrumEngine& table = *engine.spectrum();
-  const std::size_t cap = cpa::SpectrumEngine::kMaxCachedLengths;
   const std::size_t guard = sync::BlindSyncConfig{}.guard;
   const std::vector<sync::WarpSpec> specs = distinct_length_specs(y.size());
 
@@ -192,26 +187,20 @@ TEST(SyncEngineTable, CapHoldsAndScoresMatchOracleAcrossEviction) {
   for (const sync::WarpSpec& spec : specs) {
     oracle.push_back(sync_score(y, r.pattern, spec, guard));
   }
-  // First request of a length: scored, not admitted. Second: admitted,
-  // evicting the least recently used length once the table is full.
+  // Each length twice in a row, then the whole list again: one engine
+  // scores every repeat with the oracle's bits.
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
-    EXPECT_EQ(table.cached_lengths(), std::min(i, cap));
     EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
-    EXPECT_EQ(table.cached_lengths(), std::min(i + 1, cap));
   }
-  // Evicted lengths (the first eight) and held ones (the rest) still
-  // score the oracle's bits, and the table never outgrows its cap.
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(engine.score(y, specs[i], guard), oracle[i]) << i;
-    EXPECT_LE(table.cached_lengths(), cap);
   }
 }
 
-TEST(SyncEngineTable, ParallelScoringRacesEviction) {
-  // Eight workers score three copies of each of cap + 8 lengths, so
-  // admissions and evictions interleave with sweeps still reading the
-  // entries being evicted (TSan lane).
+TEST(SyncEngineLengths, ParallelScoringMatchesOracleAcrossLengths) {
+  // Eight workers score three copies of each of 40 lengths through one
+  // engine (TSan lane).
   const Scenario sc(fast_config(ChipModel::kChip1));
   const auto r = sc.run(0);
   const auto& y = r.acquisition.per_cycle_power_w;
@@ -231,8 +220,6 @@ TEST(SyncEngineTable, ParallelScoringRacesEviction) {
   runtime::Executor executor(8);
   for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(engine.score_batch(y, specs, guard, &executor), expected);
-    EXPECT_LE(engine.spectrum()->cached_lengths(),
-              cpa::SpectrumEngine::kMaxCachedLengths);
   }
 }
 
