@@ -3,9 +3,9 @@
 //
 // The batch path materialises the full sample-rate waveform (cycles x
 // samples_per_cycle doubles) plus the Y vector before the sweep even
-// starts; the streaming pipeline holds a bounded window of chunks plus
-// the O(P) rotation fold, and with early stop it answers before the
-// trace ends. --json=PATH writes the comparison as a BenchJson record
+// starts; the streaming loop holds one chunk plus the O(P) rotation
+// fold, and with early stop it answers before the trace ends.
+// --json=PATH writes the comparison as a BenchJson record
 // (BENCH_stream.json in the tier-1 smoke run).
 #include <algorithm>
 #include <chrono>
@@ -15,7 +15,6 @@
 #include "bench_common.h"
 #include "cpa/detector.h"
 #include "detect/session.h"
-#include "stream/pipeline.h"
 #include "util/csv.h"
 
 using namespace clockmark;
@@ -34,8 +33,6 @@ int main(int argc, char** argv) {
   const bench::Cli cli(argc, argv, {.cycles = 150000});
   const auto chunk_cycles =
       static_cast<std::size_t>(cli.args().get_int("chunk", 4096));
-  const auto queue_capacity =
-      static_cast<std::size_t>(cli.args().get_int("queue", 8));
   cli.reject_unknown();
   bench::print_header(
       "abl_stream_latency — batch vs streaming detection",
@@ -62,45 +59,42 @@ int main(int argc, char** argv) {
   const std::size_t batch_bytes =
       cfg.trace_cycles * (spc + 1) * sizeof(double);
 
-  // ---- streaming, early stop on ------------------------------------
-  stream::StreamPipelineConfig pipe_cfg;
-  pipe_cfg.queue_capacity = queue_capacity;
-  const stream::StreamPipeline pipeline(pipe_cfg);
+  // ---- streaming, early stop on, then run to the trace end ----------
+  // Every pass builds a fresh Session, so each pays for its sweep engine
+  // as the batch pass does.
+  const auto stream_once = [&](const detect::Request& rq) {
+    stream::ScenarioSource source(scenario, 0, chunk_cycles);
+    return *detect::Session(rq, source.pattern())
+                .run(source, cli.executor())
+                .stream;
+  };
+  detect::Request request;
+  request.streaming.chunk_cycles = chunk_cycles;
 
   const auto t_early = std::chrono::steady_clock::now();
-  stream::ScenarioSource early_source(scenario, 0, chunk_cycles);
-  const stream::StreamReport early =
-      pipeline.run(early_source, early_source.pattern(), cli.executor());
+  const detect::StreamReport early = stream_once(request);
   double early_s = seconds_since(t_early);
   for (std::size_t trial = 1; trial < cli.trials(); ++trial) {
     const auto t0 = std::chrono::steady_clock::now();
-    stream::ScenarioSource source(scenario, 0, chunk_cycles);
-    (void)pipeline.run(source, source.pattern(), cli.executor());
+    (void)stream_once(request);
     early_s = std::min(early_s, seconds_since(t0));
   }
 
-  // ---- streaming, run to the trace end ------------------------------
-  stream::StreamPipelineConfig full_cfg = pipe_cfg;
-  full_cfg.detector.early_stop = false;
-  const stream::StreamPipeline full_pipeline(full_cfg);
-
+  request.streaming.early_stop = false;
   const auto t_full = std::chrono::steady_clock::now();
-  stream::ScenarioSource full_source(scenario, 0, chunk_cycles);
-  const stream::StreamReport full =
-      full_pipeline.run(full_source, full_source.pattern(), cli.executor());
+  const detect::StreamReport full = stream_once(request);
   double full_s = seconds_since(t_full);
   for (std::size_t trial = 1; trial < cli.trials(); ++trial) {
     const auto t0 = std::chrono::steady_clock::now();
-    stream::ScenarioSource source(scenario, 0, chunk_cycles);
-    (void)full_pipeline.run(source, source.pattern(), cli.executor());
+    (void)stream_once(request);
     full_s = std::min(full_s, seconds_since(t0));
   }
 
-  // Streaming's peak: the analog window of the chunk in flight plus the
-  // queue, and the O(P) fold slots.
+  // Streaming's peak: the analog window of the one chunk in flight, and
+  // the O(P) fold slots.
   const std::size_t stream_bytes =
-      full.peak_buffered_bytes * (spc + 1) +
-      full_source.pattern().size() * 2 * sizeof(double);
+      std::min(chunk_cycles, cfg.trace_cycles) * (spc + 1) * sizeof(double) +
+      batch.scenario->pattern.size() * 2 * sizeof(double);
 
   const auto row = [](const char* name, bool detected, double secs,
                       std::size_t cycles, std::size_t bytes) {

@@ -1,5 +1,5 @@
 // Online detection walkthrough: chip I's Dhrystone trace streamed
-// through the acquisition → bounded queue → online CPA pipeline, decided
+// chunk by chunk from acquisition into the online CPA detector, decided
 // mid-stream, then compared against the batch detector over the full
 // trace. Both paths go through the detect::Session facade — the same
 // Request drives the streamed and the materialised run. The headline
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   stream::ScenarioSource source(scenario, /*repetition=*/0, chunk_cycles);
   const detect::Session session(request, source.pattern());
   const detect::Report streamed = session.run(source, &executor);
-  const stream::StreamReport& report = *streamed.stream;
+  const detect::StreamReport& report = *streamed.stream;
 
   std::cout << "streaming: " << (streamed.detected ? "DETECTED"
                                                    : "not detected");
@@ -59,12 +59,7 @@ int main(int argc, char** argv) {
     std::cout << " (full trace, " << report.decision.cycles << " cycles)";
   }
   std::cout << "\n  " << streamed.detection.reason << "\n"
-            << "  chunks " << report.chunks_consumed << "/"
-            << report.chunks_produced
-            << " consumed/produced, queue high-water "
-            << report.queue.high_water << "/" << report.queue.capacity
-            << ", peak buffered " << report.peak_buffered_bytes
-            << " bytes\n\n";
+            << "  chunks pulled " << report.chunks << "\n\n";
 
   // Batch reference: the same Session deciding over the fully
   // materialised trace (what every other example does).

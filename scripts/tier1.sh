@@ -192,7 +192,7 @@ cmake --build build-tsan -j --target test_runtime test_dsp test_integration \
 # Note: -j needs an explicit value here — a bare `-j` would consume the
 # following -R as its argument and run the whole (partially built) list.
 (cd build-tsan && ctest --output-on-failure -j"$(nproc)" \
-  -R '^(ThreadPool|Executor|SeedDerive|ParallelCorrelation|ParallelStudy|Scenario|ScenarioMemo|FftPlan|EndToEnd|BoundedQueue|OnlineDetector|StreamPipeline|TraceIo|RotationAccumulator|ChipsAndThreads|Warp|BlindSync|Chips/BlindSyncChips|SyncEngine|Chips/SyncEngineChips|SyncEngineLengths|RotationAccumulatorOracle|Chips/RotationAccumulatorOracle|DetectFacade|DetectFile|EngineCacheLru|ServeQueue|ServeBroker|ServeService|ServeProtocol|ServeLocalClient|ServeHost|BatchAcquireScenario|BatchAcquireSpectrumEngine|BatchAcquireStudy)')
+  -R '^(ThreadPool|Executor|SeedDerive|ParallelCorrelation|ParallelStudy|Scenario|ScenarioMemo|FftPlan|EndToEnd|OnlineDetector|StreamSession|TraceIo|RotationAccumulator|ChipsAndThreads|Warp|BlindSync|Chips/BlindSyncChips|SyncEngine|Chips/SyncEngineChips|SyncEngineLengths|RotationAccumulatorOracle|Chips/RotationAccumulatorOracle|DetectFacade|DetectFile|EngineCacheLru|ServeQueue|ServeBroker|ServeService|ServeProtocol|ServeLocalClient|ServeHost|BatchAcquireScenario|BatchAcquireSpectrumEngine|BatchAcquireStudy)')
 
 echo "=== tier-1: UBSan pass (sequence + dsp + cpa + socdesc + serve tests) ==="
 # -fno-sanitize-recover=all: any triggered check aborts the binary, so a

@@ -1,6 +1,8 @@
 #include "detect/session.h"
 
+#include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -55,21 +57,56 @@ Report Session::run_file(const std::string& path,
                     pattern_, executor, {});
 }
 
+namespace {
+
+/// The source's next chunk. A throw that is not a std::exception becomes
+/// one, so callers that catch std::exception (the service's worker)
+/// still fail the run.
+std::optional<stream::Chunk> pull(stream::TraceSource& source) {
+  try {
+    return source.next();
+  } catch (const std::exception&) {
+    throw;
+  } catch (...) {
+    throw std::runtime_error("unknown source failure");
+  }
+}
+
+}  // namespace
+
 Report Session::run_stream(stream::TraceSource& source,
                            const Request& request,
                            const std::vector<double>& pattern,
                            runtime::Executor* executor,
                            const runtime::CancelToken& cancel) const {
-  stream::StreamPipelineConfig config;
-  config.queue_capacity = request.streaming.queue_capacity;
-  config.max_cycles = request.streaming.max_cycles;
-  config.detector = stream_detector_config(request);
+  stream::OnlineDetectorConfig config = stream_detector_config(request);
   bool engine_hit = false;
-  config.detector.engine = engine_cache_->acquire(pattern, &engine_hit);
+  config.engine = engine_cache_->acquire(pattern, &engine_hit);
+  // Built before the first pull, so a rejected configuration throws
+  // without touching the source.
+  stream::OnlineDetector detector(pattern, std::move(config));
+  const std::size_t budget = request.streaming.max_cycles;
 
-  stream::StreamReport sr =
-      stream::StreamPipeline(config).run(source, pattern, executor, cancel);
-  if (sr.source_failed) throw std::runtime_error(sr.error);
+  StreamReport sr;
+  while (!cancel.cancelled()) {
+    std::optional<stream::Chunk> chunk = pull(source);
+    // The chunk boundary: nothing that arrives after a cancel, or lies
+    // wholly past the budget, reaches the detector.
+    if (!chunk || cancel.cancelled()) break;
+    if (budget != 0) {
+      if (chunk->start_cycle >= budget) break;
+      if (chunk->end_cycle() > budget) {
+        chunk->values.resize(budget - chunk->start_cycle);
+      }
+    }
+    ++sr.chunks;
+    if (detector.ingest(*chunk, executor)) break;
+    if (budget != 0 && chunk->end_cycle() >= budget) break;
+  }
+
+  sr.cancelled = cancel.cancelled();
+  sr.decision =
+      sr.cancelled ? detector.decision() : detector.finalize(executor);
   Report report = report_from_decision(sr.decision, request);
   report.engine_hit = engine_hit;
   report.stream = std::move(sr);

@@ -15,10 +15,17 @@
 //                     run, the ScenarioResult for simulated inputs, and
 //                     whether the run's engine came from the cache.
 //
-// One loop: every overload runs stream::StreamPipeline over an
-// OnlineDetector configured by stream_detector_config(request); every run
-// takes its sweep engine (and a kBlind run its lock engine) from the
-// session's EngineCache.
+// One loop, on the calling thread: every overload pulls chunks from a
+// stream::TraceSource into one OnlineDetector configured by
+// stream_detector_config(request), and is the only library code that
+// feeds a detector. Each chunk boundary is where governance applies: a
+// chunk that arrives after the CancelToken fired is never ingested (and
+// a cancelled run is not finalised: StreamReport::cancelled, decision
+// left mid-stream); the chunk crossing Request::Streaming::max_cycles is
+// trimmed to the budget and ends the stream. The loop stops pulling the
+// moment the early-stop decision fires, so the source is never asked
+// for a chunk past the decision. Every run takes its sweep engine (and a
+// kBlind run its lock engine) from the session's EngineCache.
 //   * run(span) and run(scenario) chunk the materialised trace through a
 //     stream::SpanSource under whole_trace(request) — early stop off and
 //     the blind lock on the full trace — the configuration under which
@@ -34,9 +41,11 @@
 //     CMTRACE2 / "# meta" capture metadata to pick the sync handling
 //     when the request allows it (with_file_meta).
 // Streamed inputs fail closed: a source that throws mid-stream makes
-// run(TraceSource&) / run_file throw its error, never a verdict over the
-// prefix. kNaive needs the whole trace in memory and is rejected with
-// std::invalid_argument; it stays the oracle of cpa::correlate_rotations.
+// run(TraceSource&) / run_file throw its error (a throw that is not a
+// std::exception becomes std::runtime_error("unknown source failure")),
+// never a verdict over the prefix. kNaive needs the whole trace in
+// memory and is rejected with std::invalid_argument; it stays the oracle
+// of cpa::correlate_rotations.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +59,8 @@
 #include "detect/engine_cache.h"
 #include "runtime/cancel.h"
 #include "sim/scenario.h"
-#include "stream/pipeline.h"
+#include "stream/online_detector.h"
+#include "stream/trace_source.h"
 #include "sync/types.h"
 
 namespace clockmark::measure {
@@ -81,11 +91,10 @@ struct Request {
   std::size_t lock_cycles = 0;
 
   /// The detection loop's knobs. Span and scenario runs use only
-  /// chunk_cycles, queue_capacity and max_cycles (whole_trace() turns
-  /// early stop off); streamed inputs honour them all.
+  /// chunk_cycles and max_cycles (whole_trace() turns early stop off);
+  /// streamed inputs honour them all.
   struct Streaming {
     std::size_t chunk_cycles = 4096;
-    std::size_t queue_capacity = 8;
     bool early_stop = true;
     double confidence_threshold = 0.999;
     std::size_t consecutive_evaluations = 3;
@@ -105,6 +114,13 @@ struct Request {
   bool use_file_meta = true;
 };
 
+/// The detection loop's own account of a run.
+struct StreamReport {
+  stream::OnlineDecision decision;
+  std::size_t chunks = 0;  ///< chunks ingested by the detector
+  bool cancelled = false;  ///< stopped by the CancelToken, not finalised
+};
+
 /// The decision and everything behind it. Optional members are set by
 /// the paths that produce them and left empty otherwise.
 struct Report {
@@ -115,7 +131,7 @@ struct Report {
   /// Sync outcome when a correction was applied (kKnownOffset echoes the
   /// requested warp; kBlind reports the recovered estimate).
   std::optional<sync::SyncEstimate> sync;
-  std::optional<stream::StreamReport> stream;   ///< the loop's counters
+  std::optional<StreamReport> stream;           ///< the loop's counters
   std::optional<sim::ScenarioResult> scenario;  ///< simulated inputs
   /// The run's engine (sweep, and kBlind lock) was served by the
   /// EngineCache, not built for this run.

@@ -1,7 +1,7 @@
 // Cooperative cancellation: a CancelSource flips a flag, any number of
 // CancelToken copies observe it. Cancellation in the detection loop is
 // *cooperative by design* — a CPA sweep or a blind-search probe is not
-// interruptible mid-kernel, so stream::StreamPipeline checks the token
+// interruptible mid-kernel, so detect::Session's loop checks the token
 // at its safe points (each chunk boundary and before finalisation) and
 // a cancel lands at the next one. std::stop_token would fit, but a
 // 20-line shared atomic keeps the dependency surface at "what the repo

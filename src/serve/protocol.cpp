@@ -209,7 +209,6 @@ Frame encode_submit(const JobSpec& spec) {
   w.u64(rq.blind.coarse_top_k);
   w.u64(rq.lock_cycles);
   w.u64(rq.streaming.chunk_cycles);
-  w.u64(rq.streaming.queue_capacity);
   w.u8(rq.streaming.early_stop ? 1 : 0);
   w.f64(rq.streaming.confidence_threshold);
   w.u64(rq.streaming.consecutive_evaluations);
@@ -275,7 +274,6 @@ JobSpec decode_submit(const Frame& frame) {
   rq.blind.coarse_top_k = static_cast<std::size_t>(r.u64());
   rq.lock_cycles = static_cast<std::size_t>(r.u64());
   rq.streaming.chunk_cycles = static_cast<std::size_t>(r.u64());
-  rq.streaming.queue_capacity = static_cast<std::size_t>(r.u64());
   rq.streaming.early_stop = r.u8() != 0;
   rq.streaming.confidence_threshold = r.f64();
   rq.streaming.consecutive_evaluations = static_cast<std::size_t>(r.u64());

@@ -1,8 +1,8 @@
 // Priority / fair job queue with backpressure — the scheduling heart of
-// the detection service. It keeps BoundedQueue's lifecycle semantics
-// (blocking push while full, drain-after-close, stats counters; see
-// stream/bounded_queue.h) but replaces the single FIFO with a two-level
-// discipline:
+// the detection service. Its lifecycle: push() blocks while the queue is
+// full, close() wakes every waiter and refuses new items, and pop()
+// drains what is left before it reports the end; counters record the
+// traffic. Items leave in a two-level discipline:
 //
 //   1. strict priority: a pop always serves the highest non-empty
 //      priority level (kHigh before kNormal before kLow);
@@ -42,7 +42,7 @@ enum class JobPriority : int {
   kLow = 2,
 };
 
-/// BoundedQueue-style counters, surfaced via DetectionService::stats().
+/// Queue traffic counters, surfaced via DetectionService::stats().
 struct JobQueueStats {
   std::size_t capacity = 0;
   std::size_t pushes = 0;      ///< jobs accepted

@@ -5,7 +5,7 @@
 // and its pattern, then runs detect::Session — built over the broker's
 // shared engine cache — on that source with the job's CancelToken. The
 // service keeps no detection loop of its own: every promise below lives
-// in Session's one loop (stream::StreamPipeline) or in the queue.
+// in Session's one loop or in the queue.
 //
 //   verdict fidelity   kBatch jobs run under Session::whole_trace (early
 //                      stop off, full-trace blind lock), the translation
@@ -67,9 +67,9 @@ struct ServiceConfig {
   /// the request's streaming.chunk_cycles, matching Session::run_file).
   std::size_t chunk_cycles = 4096;
   /// Optional executor parallelising per-job detector work (the blind
-  /// lock, the evaluation sweeps; the chunk producer is a thread of the
-  /// job's own). Verdicts are bit-identical with or
-  /// without it. Not owned; must outlive the service.
+  /// lock, the evaluation sweeps; the worker pulls the job's chunks
+  /// itself). Verdicts are bit-identical with or without it. Not owned;
+  /// must outlive the service.
   runtime::Executor* executor = nullptr;
   BrokerConfig broker;
   /// Invoked for each accepted job reaching a terminal state

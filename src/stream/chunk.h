@@ -1,4 +1,4 @@
-// The unit of work flowing through the streaming pipeline: a run of
+// The unit of work flowing through the detection loop: a run of
 // consecutive per-cycle power values (Y samples) with its absolute cycle
 // offset. Carrying the offset makes resume/reconnect well-defined — a
 // consumer can verify it never skipped or replayed cycles, which is what

@@ -1,4 +1,4 @@
-// Producers for the streaming pipeline: anything that can hand out the
+// Sources for the detection loop: anything that can hand out the
 // next whole-cycle chunk of a per-cycle power trace, in cycle order.
 //
 //   ScenarioSource  pulls chunks from a sim::Scenario repetition via its
@@ -36,8 +36,8 @@ class TraceSource {
 
   /// Next chunk in cycle order (chunk.start_cycle equals the previous
   /// chunk's end_cycle; the first chunk starts at cycle 0). nullopt =
-  /// end of stream. Throws on source failure — the pipeline turns that
-  /// into queue poisoning.
+  /// end of stream. Throws on source failure — detect::Session then
+  /// throws that error instead of deciding on the prefix.
   virtual std::optional<Chunk> next() = 0;
 
   /// Total cycles when known up front; 0 = unknown / unbounded.

@@ -200,6 +200,25 @@ TEST(DetectFacade, SourceThrowingMidStreamFailsClosed) {
   EXPECT_EQ(calls, kGoodChunks);
 }
 
+TEST(DetectFacade, EarlyStopPullsNothingPastTheDecision) {
+  // The loop pulls on the caller's thread and stops at the decision: a
+  // live source is never asked for a chunk the detector will not see.
+  const Scenario sc(fast_config(ChipModel::kChip1, 32768));
+  const auto r = sc.run(0);
+  const std::vector<stream::Chunk> chunks =
+      stream::chop(r.acquisition.per_cycle_power_w, 1024);
+  std::size_t pulls = 0;
+  stream::CallbackSource source([&]() -> std::optional<stream::Chunk> {
+    if (pulls == chunks.size()) return std::nullopt;
+    return chunks[pulls++];
+  });
+  const detect::Report report = detect::Session({}, r.pattern).run(source);
+  ASSERT_TRUE(report.stream.has_value());
+  ASSERT_TRUE(report.stream->decision.decided);
+  EXPECT_LT(report.stream->chunks, chunks.size());
+  EXPECT_EQ(pulls, report.stream->chunks);
+}
+
 TEST(DetectFacade, BatchSpanMatchesScenarioOverload) {
   const Scenario sc(fast_config(ChipModel::kChip1));
   const auto r = sc.run(0);

@@ -444,8 +444,8 @@ TEST(ServeService, CancelRunningJobStopsAtNextChunkBoundary) {
   };
 
   const serve::JobTicket ticket = service.submit(std::move(spec));
-  // The job's producer thread handed out chunk 0 and is parked inside
-  // next() for chunk 1.
+  // The job's worker ingested chunk 0 and is parked inside next() for
+  // chunk 1.
   source->gate_reached().wait();
   EXPECT_TRUE(service.cancel(ticket.id));
   source->release();

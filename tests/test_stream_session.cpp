@@ -1,5 +1,5 @@
-// StreamPipeline end to end: producer/queue/detector wiring, early-stop
-// cancellation of the producer, failure propagation via queue poisoning,
+// detect::Session's detection loop end to end: source -> detector
+// wiring, early stop ending acquisition, fail-closed source failures,
 // and the trace export / replay loop (write_trace_* -> ReplaySource).
 #include <gtest/gtest.h>
 
@@ -10,18 +10,17 @@
 #include <vector>
 
 #include "cpa/detector.h"
+#include "detect/session.h"
 #include "measure/trace_io.h"
 #include "runtime/executor.h"
 #include "sim/scenario.h"
-#include "stream/pipeline.h"
+#include "stream/trace_source.h"
 
 namespace {
 
 using namespace clockmark;
 using stream::CallbackSource;
 using stream::Chunk;
-using stream::StreamPipeline;
-using stream::StreamPipelineConfig;
 
 sim::ScenarioConfig fast_config(sim::ChipModel chip,
                                 std::size_t cycles = 20000) {
@@ -49,64 +48,78 @@ class ChunkReplay {
   std::size_t next_ = 0;
 };
 
-TEST(StreamPipeline, FullRunMatchesBatchDetect) {
+TEST(StreamSession, FullRunMatchesBatchDetect) {
   const sim::Scenario sc(fast_config(sim::ChipModel::kChip1));
   const auto r = sc.run(0);
   const auto& y = r.acquisition.per_cycle_power_w;
   const auto batch = cpa::Detector().detect(y, r.pattern);
 
-  StreamPipelineConfig cfg;
-  cfg.detector.early_stop = false;
+  detect::Request request;
+  request.streaming.early_stop = false;
   CallbackSource source(ChunkReplay(stream::chop(y, 2048)), y.size());
   runtime::Executor executor(4);
-  const auto report =
-      StreamPipeline(cfg).run(source, r.pattern, &executor);
+  const detect::Report run =
+      detect::Session(request, r.pattern).run(source, &executor);
+  ASSERT_TRUE(run.stream.has_value());
+  const detect::StreamReport& report = *run.stream;
 
-  EXPECT_FALSE(report.source_failed);
-  EXPECT_EQ(report.chunks_produced, report.chunks_consumed);
+  EXPECT_EQ(report.chunks, (y.size() + 2047) / 2048);
   EXPECT_EQ(report.decision.cycles, y.size());
   EXPECT_EQ(report.decision.result.spectrum.rho, batch.spectrum.rho);
   EXPECT_EQ(report.decision.detected, batch.detected);
-  EXPECT_EQ(report.queue.pushes, report.chunks_consumed);
-  EXPECT_GE(report.queue.high_water, 1u);
-  EXPECT_GT(report.peak_buffered_bytes, 0u);
 }
 
-TEST(StreamPipeline, EarlyStopHaltsProducer) {
-  // A long, clean trace: the decision fires mid-stream and the producer
-  // must stop early instead of pushing every chunk.
+TEST(StreamSession, EarlyStopHaltsSource) {
+  // A long, clean trace: the decision fires mid-stream and the loop must
+  // stop pulling instead of draining every chunk.
   const sim::Scenario sc(fast_config(sim::ChipModel::kChip1, 32768));
   const auto r = sc.run(0);
   const auto& y = r.acquisition.per_cycle_power_w;
 
-  StreamPipelineConfig cfg;
-  cfg.queue_capacity = 2;
   CallbackSource source(ChunkReplay(stream::chop(y, 1024)), y.size());
-  const auto report = StreamPipeline(cfg).run(source, r.pattern);
+  const detect::Report run = detect::Session({}, r.pattern).run(source);
+  ASSERT_TRUE(run.stream.has_value());
+  const detect::StreamReport& report = *run.stream;
 
   EXPECT_TRUE(report.decision.decided);
   EXPECT_TRUE(report.decision.detected);
   EXPECT_LE(report.decision.decision_cycles, y.size() / 2);
   // Not every chunk was consumed — acquisition genuinely ended early.
-  EXPECT_LT(report.chunks_consumed, y.size() / 1024);
+  EXPECT_LT(report.chunks, y.size() / 1024);
 }
 
-TEST(StreamPipeline, SourceFailurePoisonsInsteadOfCleanEnd) {
-  int calls = 0;
-  CallbackSource source([&]() -> std::optional<Chunk> {
-    if (++calls == 3) throw std::runtime_error("probe detached");
-    Chunk c;
-    c.index = static_cast<std::size_t>(calls - 1);
-    c.start_cycle = static_cast<std::size_t>(calls - 1) * 64;
-    c.values.assign(64, 1e-3);
-    return c;
-  });
-  StreamPipelineConfig cfg;
-  const auto report =
-      StreamPipeline(cfg).run(source, std::vector<double>(63, 1.0));
-  EXPECT_TRUE(report.source_failed);
-  EXPECT_NE(report.error.find("probe detached"), std::string::npos);
-  EXPECT_FALSE(report.decision.detected);
+TEST(StreamSession, SourceFailureThrowsInsteadOfCleanEnd) {
+  // A failing source ends the run with its error, never with a verdict
+  // over the prefix — also when what it throws is not a std::exception.
+  const auto failing_source = [](auto fail) {
+    return CallbackSource([calls = 0, fail]() mutable -> std::optional<Chunk> {
+      if (++calls == 3) fail();
+      Chunk c;
+      c.index = static_cast<std::size_t>(calls - 1);
+      c.start_cycle = static_cast<std::size_t>(calls - 1) * 64;
+      c.values.assign(64, 1e-3);
+      return c;
+    });
+  };
+  const detect::Session session({}, std::vector<double>(63, 1.0));
+
+  CallbackSource detached =
+      failing_source([] { throw std::runtime_error("probe detached"); });
+  try {
+    (void)session.run(detached);
+    FAIL() << "a failed source must not produce a verdict";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("probe detached"),
+              std::string::npos);
+  }
+
+  CallbackSource foreign = failing_source([] { throw 42; });
+  try {
+    (void)session.run(foreign);
+    FAIL() << "a failed source must not produce a verdict";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown source failure");
+  }
 }
 
 TEST(TraceIo, CsvRoundTripThroughReplaySource) {
@@ -146,8 +159,8 @@ TEST(TraceIo, BinaryRoundTripThroughReplaySource) {
 }
 
 TEST(TraceIo, ReplayedScenarioTraceDetectsLikeBatch) {
-  // Export a batch trace, stream it back from disk through the full
-  // pipeline: the decision equals the batch detector's.
+  // Export a batch trace, stream it back from disk through the
+  // detection loop: the decision equals the batch detector's.
   const sim::Scenario sc(fast_config(sim::ChipModel::kChip1));
   const auto r = sc.run(0);
   const auto& y = r.acquisition.per_cycle_power_w;
@@ -159,11 +172,12 @@ TEST(TraceIo, ReplayedScenarioTraceDetectsLikeBatch) {
   measure::write_trace_binary(path, y);
 
   stream::ReplaySource source(path, 4096);
-  StreamPipelineConfig cfg;
-  cfg.detector.early_stop = false;
-  const auto report = StreamPipeline(cfg).run(source, r.pattern);
-  EXPECT_EQ(report.decision.result.spectrum.rho, batch.spectrum.rho);
-  EXPECT_EQ(report.decision.detected, batch.detected);
+  detect::Request request;
+  request.streaming.early_stop = false;
+  const detect::Report report =
+      detect::Session(request, r.pattern).run(source);
+  EXPECT_EQ(report.detection.spectrum.rho, batch.spectrum.rho);
+  EXPECT_EQ(report.detected, batch.detected);
   std::remove(path.c_str());
 }
 
